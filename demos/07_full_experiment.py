@@ -6,12 +6,13 @@ checkpointed evaluation on one run, and the summary table with a
 paired test. The command-line interface wraps exactly this lifecycle:
 
     flowalign gen-data --config exp.json --out data/
-    flowalign train-encoder --config exp.json --data data/ --which a --out enc_a.json
+    flowalign train-encoder --config exp.json --data data/ --variant a --out enc_a.json
+    flowalign train-encoder --config exp.json --data data/ --variant b --out enc_b.json
     flowalign train --config exp.json --data data/ --encoder-a enc_a.json \
         --encoder-b enc_b.json --mode layer_time --seed 0 --out runs/lt0
     flowalign analyze --run runs/lt0 --data data/ --encoder-a enc_a.json \
-        --encoder-b enc_b.json --out runs/lt0/analysis
-    flowalign report --runs runs/ --out report/
+        --encoder-b enc_b.json
+    flowalign report runs/*/ --out table.json
 """
 
 import tempfile

@@ -18,9 +18,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigurationError, IntegrityError, ShapeMismatchError
+from .errors import ConfigurationError, ShapeMismatchError
 from .flow import sinusoidal_features
-from .serialize import save_checkpoint, load_checkpoint
+from .serialize import load_strict, save_checkpoint
 from .tensor import Tensor
 
 MODES = ("baseline", "layer_only", "layer_time")
@@ -151,12 +151,12 @@ class AlignmentHead:
 
     @staticmethod
     def load(path) -> "AlignmentHead":
-        params, meta = load_checkpoint(path)
-        if meta.get("kind") != "alignment-head":
-            raise IntegrityError(f"not an alignment checkpoint: {meta.get('kind')}")
-        head = AlignmentHead(
-            AlignConfig(**meta["config"]), meta["n_layers"], meta["tap_dim"], meta["embed_dim"]
+        head, _ = load_strict(
+            path,
+            "alignment-head",
+            AlignConfig,
+            lambda cfg, meta: AlignmentHead(
+                cfg, meta["n_layers"], meta["tap_dim"], meta["embed_dim"]
+            ),
         )
-        for k, v in params.items():
-            head.params[k].data[...] = v.data
         return head

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -144,23 +145,14 @@ def _read_heatmap_csv(path) -> np.ndarray:
 
 
 def cmd_report(args) -> int:
-    runs = []
-    for d in args.runs:
-        rep = json.loads((Path(d) / "report.json").read_text())
-        runs.append(rep)
     by_mode: dict[str, list] = {}
-    for rep in runs:
-        by_mode.setdefault(rep["mode"], []).append(rep)
+    for d in args.runs:
+        # report.json holds a run's RunResult fields by name
+        rep = SimpleNamespace(**json.loads((Path(d) / "report.json").read_text()))
+        by_mode.setdefault(rep.mode, []).append(rep)
     for mode in by_mode:
-        by_mode[mode].sort(key=lambda r: r["seed"])
-
-    class _R:
-        def __init__(self, rep):
-            self.final_sim_a = rep["final_sim_a"]
-            self.final_sim_b = rep["final_sim_b"]
-            self.seed = rep["seed"]
-
-    table = ablation_table({m: [_R(r) for r in rs] for m, rs in by_mode.items()})
+        by_mode[mode].sort(key=lambda r: r.seed)
+    table = ablation_table(by_mode)
     print(f"{'mode':<12} {'sim_a':>8} {'sim_b':>8}  seeds")
     for mode in MODES:
         if mode not in table:

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import ConfigurationError, IntegrityError, ShapeMismatchError
 from .optim import AdamW, cosine_warmup_lr
-from .serialize import params_hash, save_checkpoint, load_checkpoint
+from .serialize import load_strict, params_hash, save_checkpoint
 from .tensor import Tensor
 
 
@@ -112,12 +112,12 @@ class SpeakerEncoder:
 
     @staticmethod
     def load(path) -> "SpeakerEncoder":
-        params, meta = load_checkpoint(path)
-        if meta.get("kind") != "speaker-encoder":
-            raise IntegrityError(f"not an encoder checkpoint: {meta.get('kind')}")
-        enc = SpeakerEncoder(EncoderConfig(**meta["config"]), meta["n_classes"])
-        for k, v in params.items():
-            enc.params[k].data[...] = v.data
+        enc, meta = load_strict(
+            path,
+            "speaker-encoder",
+            EncoderConfig,
+            lambda cfg, meta: SpeakerEncoder(cfg, meta["n_classes"]),
+        )
         if meta.get("frozen"):
             enc.freeze()
         return enc

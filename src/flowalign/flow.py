@@ -14,12 +14,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigurationError, IntegrityError, ShapeMismatchError
-from .serialize import save_checkpoint, load_checkpoint
+from .errors import ConfigurationError, ShapeMismatchError
+from .serialize import load_strict, save_checkpoint
 from .synth import PAD_TOKEN
 from .tensor import Tensor
-
-_REIMPOSE_MODES = ("per_step", "at_end")
 
 
 @dataclass
@@ -32,10 +30,6 @@ class FlowConfig:
     cond_dim: int = 32
     time_embed_dim: int = 64
     frames_per_token: int = 4
-    frame_mixing: bool = False
-    mix_width: int = 2
-    sandwich: bool = False  # adds 2+2 untapped blocks around the stack
-    reimpose_prompt: str = "per_step"
     seed: int = 0
 
     def validate(self):
@@ -43,10 +37,6 @@ class FlowConfig:
             raise ConfigurationError("hidden and n_blocks must be positive")
         if self.time_embed_dim % 2:
             raise ConfigurationError("time_embed_dim must be even")
-        if self.reimpose_prompt not in _REIMPOSE_MODES:
-            raise ConfigurationError(
-                f"reimpose_prompt must be one of {_REIMPOSE_MODES}"
-            )
 
 
 def sinusoidal_features(t: np.ndarray, dim: int) -> np.ndarray:
@@ -55,12 +45,6 @@ def sinusoidal_features(t: np.ndarray, dim: int) -> np.ndarray:
     freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
     ang = np.asarray(t, dtype=np.float64).reshape(-1, 1) * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-
-
-def _box_mix_matrix(T: int, width: int) -> np.ndarray:
-    idx = np.arange(T)
-    m = (np.abs(idx[:, None] - idx[None, :]) <= width).astype(np.float64)
-    return m / m.sum(axis=1, keepdims=True)
 
 
 class FlowModel:
@@ -88,27 +72,17 @@ class FlowModel:
         p["time_b1"] = Tensor(np.zeros(H), requires_grad=True)
         p["time_w2"] = init((H, H), H)
         p["time_b2"] = Tensor(np.zeros(H), requires_grad=True)
-        def block_params(name):
-            p[f"{name}_w1"] = init((H, H), H)
-            p[f"{name}_b1"] = Tensor(np.zeros(H), requires_grad=True)
-            p[f"{name}_ut"] = init((H, H), H)
-            p[f"{name}_uc"] = init((H, H), H)
-            # small-scale residual branch keeps the initial stack near identity
-            p[f"{name}_w2"] = init((H, H), H, scale=0.1)
-            p[f"{name}_b2"] = Tensor(np.zeros(H), requires_grad=True)
-
-        if config.sandwich:
-            for i in range(2):
-                block_params(f"pre{i}")
         for i in range(config.n_blocks):
-            block_params(f"blk{i}")
-        if config.sandwich:
-            for i in range(2):
-                block_params(f"post{i}")
+            p[f"blk{i}_w1"] = init((H, H), H)
+            p[f"blk{i}_b1"] = Tensor(np.zeros(H), requires_grad=True)
+            p[f"blk{i}_ut"] = init((H, H), H)
+            p[f"blk{i}_uc"] = init((H, H), H)
+            # small-scale residual branch keeps the initial stack near identity
+            p[f"blk{i}_w2"] = init((H, H), H, scale=0.1)
+            p[f"blk{i}_b2"] = Tensor(np.zeros(H), requires_grad=True)
         p["out_w"] = init((H, D), H, scale=0.1)
         p["out_b"] = Tensor(np.zeros(D), requires_grad=True)
         self.params = p
-        self._mix_cache = {}
 
     @property
     def n_taps(self) -> int:
@@ -162,29 +136,19 @@ class FlowModel:
         )
         ec = tz.affine(Tensor(np.asarray(cond, dtype=np.float64)), p["cond_w"], p["cond_b"])
 
-        if self.config.frame_mixing and T not in self._mix_cache:
-            self._mix_cache[T] = _box_mix_matrix(T, self.config.mix_width)
-
         H = self.config.hidden
-
-        def block(h, name):
-            z = (et @ p[f"{name}_ut"]) + (ec @ p[f"{name}_uc"])
-            pre = tz.affine(h, p[f"{name}_w1"], p[f"{name}_b1"]) + z.reshape(B, 1, H)
-            a = tz.tanh(pre)
-            if self.config.frame_mixing:
-                a = tz.time_mix(a, self._mix_cache[T])
-            return h + tz.affine(a, p[f"{name}_w2"], p[f"{name}_b2"])
-
-        if self.config.sandwich:
-            for i in range(2):
-                h = block(h, f"pre{i}")
         taps = []
         for i in range(self.config.n_blocks):
-            h = block(h, f"blk{i}")
+            name = f"blk{i}"
+            z = (et @ p[f"{name}_ut"]) + (ec @ p[f"{name}_uc"])
+            # one expression: no (B, T, H) temporary outlives its block, which
+            # keeps the peak memory of a no-grad forward at B=500 down
+            h = h + tz.affine(
+                tz.tanh(tz.affine(h, p[f"{name}_w1"], p[f"{name}_b1"]) + z.reshape(B, 1, H)),
+                p[f"{name}_w2"],
+                p[f"{name}_b2"],
+            )
             taps.append(h)
-        if self.config.sandwich:
-            for i in range(2):
-                h = block(h, f"post{i}")
 
         v = tz.affine(h, p["out_w"], p["out_b"])
         return v, taps
@@ -195,12 +159,7 @@ class FlowModel:
 
     @staticmethod
     def load(path) -> "FlowModel":
-        params, meta = load_checkpoint(path)
-        if meta.get("kind") != "flow-model":
-            raise IntegrityError(f"not a flow checkpoint: {meta.get('kind')}")
-        model = FlowModel(FlowConfig(**meta["config"]))
-        for k, v in params.items():
-            model.params[k].data[...] = v.data
+        model, _ = load_strict(path, "flow-model", FlowConfig, lambda cfg, meta: FlowModel(cfg))
         return model
 
 
@@ -240,19 +199,15 @@ def cfm_loss(v: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
 # -- sampling -------------------------------------------------------------------
 
 
-def sample(model: FlowModel, batch, n_steps: int, seed, reimpose: str | None = None):
+def sample(model: FlowModel, batch, n_steps: int, seed):
     """Integrate the learned field with Euler steps from noise to frames.
 
     Masked frames start at standard normal noise, prompt frames at their
-    true values. ``per_step`` reimposes the prompt after every step;
-    ``at_end`` lets context frames drift and restores them once.
+    true values, and the prompt is reimposed after every step.
     Returns a (B, T, feat_dim) array with padding zeroed.
     """
     if n_steps < 1:
         raise ConfigurationError("n_steps must be >= 1")
-    mode = model.config.reimpose_prompt if reimpose is None else reimpose
-    if mode not in _REIMPOSE_MODES:
-        raise ConfigurationError(f"reimpose must be one of {_REIMPOSE_MODES}")
     rng = np.random.default_rng(seed)
     x1 = np.asarray(batch.x1, dtype=np.float64)
     mask = np.asarray(batch.mask, dtype=np.float64)
@@ -268,8 +223,5 @@ def sample(model: FlowModel, batch, n_steps: int, seed, reimpose: str | None = N
             t = np.full(B, ts[k])
             v, _ = model.forward(x, t, batch.cond, batch.cond_tokens, mask, batch.valid_len)
             x = x + (ts[k + 1] - ts[k]) * v.data * valid
-            if mode == "per_step":
-                x = m * x + (1.0 - m) * x1 * valid
-    if mode == "at_end":
-        x = m * x + (1.0 - m) * x1 * valid
+            x = m * x + (1.0 - m) * x1 * valid
     return x

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as tz
 from .alignment import AlignConfig, AlignmentHead
-from .encoder import EncoderConfig, SpeakerEncoder, train_encoder
+from .encoder import EncoderConfig, SpeakerEncoder, similarity_score, train_encoder
 from .errors import ConfigurationError, TrainingDiagnosticsError
 from .flow import FlowConfig, FlowModel, make_interpolant, cfm_loss, sample
 from .cknna import layer_alignment
@@ -49,8 +49,7 @@ class TrainConfig:
     time_gate_lr_mult: float = 10.0
     adapter_lr_mult: float = 1.0
     seed: int = 0
-    eval_every: int = 0  # 0: evaluate only after the last step
-    eval_steps: tuple = ()  # explicit extra checkpoints, overrides nothing
+    eval_steps: tuple = ()  # checkpoints before the last step, which is always evaluated
     eval_utterances: int = 500
     eval_ode_steps: int = 32
     eval_mask_fraction: float = 0.5
@@ -301,16 +300,11 @@ def train_run(
         if len(recent) > 20:
             recent.pop(0)
         if not np.isfinite(total_val) or total_val > train_cfg.loss_blowup:
-            err = TrainingDiagnosticsError(
-                f"loss diverged at step {step}: {total_val}"
+            raise TrainingDiagnosticsError(
+                f"loss diverged at step {step}: {total_val}", loss_trace=recent
             )
-            err.loss_trace = list(recent)
-            raise err
 
-        due = (step + 1) in eval_set or (
-            train_cfg.eval_every and (step + 1) % train_cfg.eval_every == 0
-        )
-        if due:
+        if (step + 1) in eval_set:
             eval_rows.append(run_eval(step + 1))
 
     if not eval_rows or eval_rows[-1]["step"] != train_cfg.steps:
@@ -348,11 +342,6 @@ def _write_run(result: RunResult, model, head, t_grid, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     (out / "losses.csv").write_bytes(losses_csv_bytes(result.loss_rows))
     (out / "eval.csv").write_bytes(eval_csv_bytes(result.eval_rows))
-    wall_lines = ["step,wall_ms"]
-    # wall clock lives in its own file so losses.csv stays reproducible
-    (out / "train_log.csv").write_text(
-        "\n".join(wall_lines + [f"total,{result.wall_seconds * 1000.0:.3f}"]) + "\n"
-    )
     model.save(out / "model.json")
     if head is not None:
         head.save(out / "head.json")
@@ -480,20 +469,17 @@ class Workspace:
 
     def ensure_encoders(self, min_accuracy: float = 0.95):
         ds = self.ensure_dataset()
-        if self.encoder_a is None:
-            self.encoder_a, rep_a = train_encoder(ds, self.exp.encoder_a)
-            self.encoder_reports["a"] = rep_a
-            if rep_a["holdout_accuracy"] < min_accuracy:
-                raise TrainingDiagnosticsError(
-                    f"encoder-a holdout accuracy {rep_a['holdout_accuracy']:.3f} < {min_accuracy}"
-                )
-        if self.encoder_b is None:
-            self.encoder_b, rep_b = train_encoder(ds, self.exp.encoder_b)
-            self.encoder_reports["b"] = rep_b
-            if rep_b["holdout_accuracy"] < min_accuracy:
-                raise TrainingDiagnosticsError(
-                    f"encoder-b holdout accuracy {rep_b['holdout_accuracy']:.3f} < {min_accuracy}"
-                )
+        for which in ("a", "b"):
+            attr = f"encoder_{which}"
+            if getattr(self, attr) is None:
+                enc, rep = train_encoder(ds, getattr(self.exp, attr))
+                setattr(self, attr, enc)
+                self.encoder_reports[which] = rep
+                if rep["holdout_accuracy"] < min_accuracy:
+                    raise TrainingDiagnosticsError(
+                        f"encoder-{which} holdout accuracy {rep['holdout_accuracy']:.3f}"
+                        f" < {min_accuracy}"
+                    )
         return self.encoder_a, self.encoder_b
 
     def save_dataset(self, out_dir) -> str:

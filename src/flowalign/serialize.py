@@ -8,23 +8,17 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
+from .errors import IntegrityError
 from .tensor import Tensor, tensor_from_json, tensor_to_json
 
 
 def sha256_bytes(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
-
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def params_payload(params: dict[str, Tensor], meta: dict | None = None) -> bytes:
@@ -51,3 +45,32 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
     doc = json.loads(Path(path).read_text())
     params = {k: tensor_from_json(v) for k, v in doc["params"].items()}
     return params, doc.get("meta", {})
+
+
+def load_strict(path, kind: str, config_cls, build):
+    """Rebuild an object from its checkpoint; returns (object, meta).
+
+    ``build(config, meta)`` makes a fresh object whose ``params`` fix the
+    expected names and shapes. The checkpoint must be of ``kind``, its
+    meta config may only hold fields of ``config_cls``, and its parameters
+    must match the fresh ones name for name and shape for shape.
+    """
+    params, meta = load_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise IntegrityError(f"not a {kind} checkpoint: {meta.get('kind')}")
+    config = meta.get("config", {})
+    unknown = set(config) - {f.name for f in dataclasses.fields(config_cls)}
+    if unknown:
+        raise IntegrityError(f"{kind} checkpoint has unknown config fields: {sorted(unknown)}")
+    obj = build(config_cls(**config), meta)
+    if set(params) != set(obj.params):
+        raise IntegrityError(
+            f"{kind} checkpoint parameters differ: missing {sorted(set(obj.params) - set(params))},"
+            f" unexpected {sorted(set(params) - set(obj.params))}"
+        )
+    for k, v in params.items():
+        want = obj.params[k].shape
+        if v.shape != want:
+            raise IntegrityError(f"{kind} parameter {k} has shape {v.shape}, expected {want}")
+        obj.params[k].data[...] = v.data
+    return obj, meta

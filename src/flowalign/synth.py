@@ -243,12 +243,6 @@ def pad_stack(arrays: list[np.ndarray], pad_value=0.0) -> np.ndarray:
     return out
 
 
-def extract_region(features: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, int]:
-    """Gather frames where ``keep`` is true, preserving order."""
-    sel = features[keep.astype(bool)]
-    return sel, sel.shape[0]
-
-
 def _draw_span(length: int, fraction_range, rng) -> tuple[int, int]:
     lo, hi = fraction_range
     if not (0.0 <= lo <= hi <= 1.0):
@@ -266,6 +260,42 @@ def _draw_span(length: int, fraction_range, rng) -> tuple[int, int]:
     )
 
 
+def _build_batch(utterances: list[Utterance], encoder, spans, fraction_range) -> TrainBatch:
+    """Pad the items, mask each one's [s, e) span and embed the rest as its prompt."""
+    if not utterances:
+        raise DegenerateInputError("a batch needs at least one utterance")
+    B = len(utterances)
+    T = max(u.valid_len for u in utterances)
+    Tc = max(len(u.content_tokens) for u in utterances)
+
+    x1 = pad_stack([u.features for u in utterances])
+    cond_tokens = np.full((B, Tc), PAD_TOKEN, dtype=np.int64)
+    mask = np.zeros((B, T), dtype=np.float64)
+    valid_len = np.array([u.valid_len for u in utterances], dtype=np.int64)
+    span = np.array(spans, dtype=np.int64).reshape(B, 2)
+    prompt_len = valid_len - (span[:, 1] - span[:, 0])
+    prompt_features = np.zeros((B, int(prompt_len.max()), x1.shape[2]))
+    for b, (u, (s, e)) in enumerate(zip(utterances, spans)):
+        cond_tokens[b, : len(u.content_tokens)] = u.content_tokens
+        mask[b, s:e] = 1.0
+        prompt_features[b, :s] = u.features[:s]
+        prompt_features[b, s : prompt_len[b]] = u.features[e : u.valid_len]
+    cond = np.asarray(encoder.embed(prompt_features, prompt_len).data)
+
+    return TrainBatch(
+        x1=x1,
+        cond_tokens=cond_tokens,
+        cond=cond,
+        mask=mask,
+        valid_len=valid_len,
+        speaker_ids=np.array([u.speaker_id for u in utterances], dtype=np.int64),
+        prompt_features=prompt_features,
+        prompt_len=prompt_len,
+        span=span,
+        fraction_range=tuple(fraction_range),
+    )
+
+
 def make_batch(
     utterances: list[Utterance],
     encoder,
@@ -277,46 +307,9 @@ def make_batch(
     The condition vector is ``encoder.embed`` applied to each item's
     unmasked frames, exactly the prompt a zero-shot sampler would see.
     """
-    if not utterances:
-        raise DegenerateInputError("make_batch needs a non-empty utterance list")
     rng = np.random.default_rng(seed)
-    B = len(utterances)
-    T = max(u.valid_len for u in utterances)
-    Tc = max(len(u.content_tokens) for u in utterances)
-
-    x1 = pad_stack([u.features for u in utterances])
-    cond_tokens = np.full((B, Tc), PAD_TOKEN, dtype=np.int64)
-    mask = np.zeros((B, T), dtype=np.float64)
-    valid_len = np.array([u.valid_len for u in utterances], dtype=np.int64)
-    speaker_ids = np.array([u.speaker_id for u in utterances], dtype=np.int64)
-    span = np.zeros((B, 2), dtype=np.int64)
-
-    prompts = []
-    for b, u in enumerate(utterances):
-        cond_tokens[b, : len(u.content_tokens)] = u.content_tokens
-        s, e = _draw_span(u.valid_len, mask_fraction_range, rng)
-        mask[b, s:e] = 1.0
-        span[b] = (s, e)
-        keep = np.ones(u.valid_len, dtype=bool)
-        keep[s:e] = False
-        prompts.append(u.features[:u.valid_len][keep])
-
-    prompt_len = np.array([p.shape[0] for p in prompts], dtype=np.int64)
-    prompt_features = pad_stack(prompts)
-    cond = np.asarray(encoder.embed(prompt_features, prompt_len).data)
-
-    return TrainBatch(
-        x1=x1,
-        cond_tokens=cond_tokens,
-        cond=cond,
-        mask=mask,
-        valid_len=valid_len,
-        speaker_ids=speaker_ids,
-        prompt_features=prompt_features,
-        prompt_len=prompt_len,
-        span=span,
-        fraction_range=tuple(mask_fraction_range),
-    )
+    spans = [_draw_span(u.valid_len, mask_fraction_range, rng) for u in utterances]
+    return _build_batch(utterances, encoder, spans, mask_fraction_range)
 
 
 def make_eval_batch(
@@ -326,41 +319,13 @@ def make_eval_batch(
 
     Used at evaluation time so every checkpoint sees identical prompts.
     """
-    if not utterances:
-        raise DegenerateInputError("make_eval_batch needs utterances")
     if not (0.0 < fraction < 1.0):
         raise ConfigurationError("eval mask fraction must be in (0, 1)")
-    B = len(utterances)
-    T = max(u.valid_len for u in utterances)
-    Tc = max(len(u.content_tokens) for u in utterances)
-    x1 = pad_stack([u.features for u in utterances])
-    cond_tokens = np.full((B, Tc), PAD_TOKEN, dtype=np.int64)
-    mask = np.zeros((B, T), dtype=np.float64)
-    valid_len = np.array([u.valid_len for u in utterances], dtype=np.int64)
-    speaker_ids = np.array([u.speaker_id for u in utterances], dtype=np.int64)
-    span = np.zeros((B, 2), dtype=np.int64)
-    prompts = []
-    for b, u in enumerate(utterances):
-        cond_tokens[b, : len(u.content_tokens)] = u.content_tokens
-        start = max(1, u.valid_len - int(round(fraction * u.valid_len)))
-        mask[b, start : u.valid_len] = 1.0
-        span[b] = (start, u.valid_len)
-        prompts.append(u.features[:start])
-    prompt_len = np.array([p.shape[0] for p in prompts], dtype=np.int64)
-    prompt_features = pad_stack(prompts)
-    cond = np.asarray(encoder.embed(prompt_features, prompt_len).data)
-    return TrainBatch(
-        x1=x1,
-        cond_tokens=cond_tokens,
-        cond=cond,
-        mask=mask,
-        valid_len=valid_len,
-        speaker_ids=speaker_ids,
-        prompt_features=prompt_features,
-        prompt_len=prompt_len,
-        span=span,
-        fraction_range=(fraction, fraction),
-    )
+    spans = [
+        (max(1, u.valid_len - int(round(fraction * u.valid_len))), u.valid_len)
+        for u in utterances
+    ]
+    return _build_batch(utterances, encoder, spans, (fraction, fraction))
 
 
 # -- manifest I/O --------------------------------------------------------------

@@ -68,12 +68,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable | None = None
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def constant(data) -> "Tensor":
-        return Tensor(data, requires_grad=False)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -474,21 +468,6 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _make(data, (table,), backward)
 
 
-def time_mix(x: Tensor, mix: np.ndarray) -> Tensor:
-    """Apply a fixed (T, T) linear map along the frame axis of (B, T, D)."""
-    if x.data.ndim != 3 or mix.shape != (x.shape[1], x.shape[1]):
-        raise ShapeMismatchError(
-            f"time_mix expects (B,T,D) with (T,T) map, got {x.shape} and {mix.shape}"
-        )
-    data = np.tensordot(mix, x.data, axes=([1], [1])).transpose(1, 0, 2)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.tensordot(mix, g, axes=([0], [1])).transpose(1, 0, 2))
-
-    return _make(data, (x,), backward)
-
-
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of integer labels under row softmax."""
     if logits.data.ndim != 2:
@@ -558,8 +537,6 @@ def check_gradients(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -
 
 # -- serialization -------------------------------------------------------------
 
-_BIN_MAGIC = b"FAT1"
-
 
 def tensor_to_json(x: Tensor) -> dict:
     """JSON-ready dict {shape, data}; floats survive a round trip bit-exactly."""
@@ -570,21 +547,3 @@ def tensor_from_json(obj: dict) -> Tensor:
     shape = tuple(int(n) for n in obj["shape"])
     data = np.array(obj["data"], dtype=np.float64).reshape(shape)
     return Tensor(data)
-
-
-def tensor_to_bytes(x: Tensor) -> bytes:
-    """Binary dump: magic, uint32 ndim, uint32 extents, little-endian float64."""
-    header = np.array([x.data.ndim, *x.shape], dtype="<u4").tobytes()
-    return _BIN_MAGIC + header + x.data.astype("<f8").tobytes()
-
-
-def tensor_from_bytes(blob: bytes) -> Tensor:
-    if blob[:4] != _BIN_MAGIC:
-        raise DomainError("not a tensor blob (bad magic)")
-    ndim = int(np.frombuffer(blob, dtype="<u4", count=1, offset=4)[0])
-    shape = tuple(
-        int(n) for n in np.frombuffer(blob, dtype="<u4", count=ndim, offset=8)
-    )
-    off = 8 + 4 * ndim
-    data = np.frombuffer(blob, dtype="<f8", offset=off).reshape(shape)
-    return Tensor(data.copy())

@@ -1,10 +1,15 @@
 """End-to-end command-line lifecycle on a micro configuration."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from flowalign.cli import main
+from flowalign.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCUMENTED = ("README.md", "demos/07_full_experiment.py")
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +160,32 @@ class TestLifecycle:
     def test_unknown_mode_rejected(self, space):
         with pytest.raises(SystemExit):
             main(["train", "--mode", "bogus"])
+
+
+def documented_commands(path):
+    """Every ``flowalign ...`` command line in a file, continuations joined."""
+    commands, pending = [], None
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if pending is None and not line.startswith("flowalign "):
+            continue
+        pending = line if pending is None else pending + " " + line
+        if pending.endswith("\\"):
+            pending = pending[:-1]
+            continue
+        commands.append(pending)
+        pending = None
+    return commands
+
+
+def test_documented_commands_parse(capsys):
+    failed = []
+    for name in DOCUMENTED:
+        commands = documented_commands(ROOT / name)
+        assert commands, f"no flowalign commands found in {name}"
+        for command in commands:
+            try:
+                build_parser().parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                failed.append(f"{name}: {command}\n  {capsys.readouterr().err.strip()}")
+    assert not failed, "\n".join(failed)

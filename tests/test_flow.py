@@ -68,18 +68,6 @@ class TestForward:
         # two frames per token, padding after frame 4
         np.testing.assert_array_equal(ids[0], [3, 3, 1, 1, PAD_TOKEN, PAD_TOKEN])
 
-    def test_sandwich_blocks_untapped(self):
-        cfg = FlowConfig(**{**TINY.__dict__, "sandwich": True})
-        model = FlowModel(cfg)
-        assert "pre0_w1" in model.params and "post1_w2" in model.params
-        x_t, t, cond, tokens, mask, lens = tiny_inputs()
-        v, taps = model.forward(x_t, t, cond, tokens, mask, lens)
-        # sandwich blocks change the field but stay out of the tap list
-        assert len(taps) == cfg.n_blocks
-        plain = FlowModel(TINY)
-        v0, _ = plain.forward(x_t, t, cond, tokens, mask, lens)
-        assert not np.allclose(v.data, v0.data)
-
     def test_condition_shape_guard(self):
         model = FlowModel(TINY)
         x_t, t, cond, tokens, mask, lens = tiny_inputs()
@@ -101,8 +89,6 @@ class TestForward:
             FlowConfig(n_blocks=0).validate()
         with pytest.raises(ConfigurationError):
             FlowConfig(time_embed_dim=7).validate()
-        with pytest.raises(ConfigurationError):
-            FlowConfig(reimpose_prompt="sometimes").validate()
 
 
 class TestGradientsThroughModel:
@@ -205,7 +191,7 @@ class ConstantField:
 
     def __init__(self, v, feat_dim=4):
         self._v = np.asarray(v, dtype=np.float64)
-        self.config = FlowConfig(feat_dim=feat_dim, reimpose_prompt="per_step")
+        self.config = FlowConfig(feat_dim=feat_dim)
 
     def forward(self, x_t, t, cond, cond_tokens, mask, valid_len):
         out = np.broadcast_to(self._v, x_t.shape).copy()
@@ -242,12 +228,11 @@ class TestSampler:
     def test_prompt_frames_preserved(self):
         batch = small_batch()
         model = FlowModel(TINY)
-        for mode in ("per_step", "at_end"):
-            out = sample(model, batch, n_steps=4, seed=1, reimpose=mode)
-            keep = (~batch.mask.astype(bool)) & (
-                np.arange(6)[None, :] < batch.valid_len[:, None]
-            )
-            np.testing.assert_array_equal(out[keep], batch.x1[keep])
+        out = sample(model, batch, n_steps=4, seed=1)
+        keep = (~batch.mask.astype(bool)) & (
+            np.arange(6)[None, :] < batch.valid_len[:, None]
+        )
+        np.testing.assert_array_equal(out[keep], batch.x1[keep])
 
     def test_padding_stays_zero(self):
         batch = small_batch()
@@ -264,21 +249,11 @@ class TestSampler:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_reimpose_modes_differ_only_on_context_drift(self):
-        batch = small_batch()
-        model = FlowModel(TINY)
-        a = sample(model, batch, n_steps=4, seed=3, reimpose="per_step")
-        b = sample(model, batch, n_steps=4, seed=3, reimpose="at_end")
-        keep = ~batch.mask.astype(bool)
-        np.testing.assert_array_equal(a[keep], b[keep])
-
     def test_validation(self):
         batch = small_batch()
         model = FlowModel(TINY)
         with pytest.raises(ConfigurationError):
             sample(model, batch, n_steps=0, seed=0)
-        with pytest.raises(ConfigurationError):
-            sample(model, batch, n_steps=2, seed=0, reimpose="never")
 
 
 class TestTimeFeatures:

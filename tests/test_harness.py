@@ -104,7 +104,6 @@ class TestRunArtifacts:
         for name in (
             "losses.csv",
             "eval.csv",
-            "train_log.csv",
             "model.json",
             "head.json",
             "report.json",
@@ -233,7 +232,7 @@ class TestEvalContent:
         assert len(row["layer_cknna_a"]) == workspace.exp.flow.n_blocks
 
     def test_periodic_eval(self, workspace):
-        exp = micro_experiment(eval_every=10)
+        exp = micro_experiment(eval_steps=(10, 20))
         ws = Workspace(exp)
         ws.dataset = workspace.dataset
         ws.encoder_a, ws.encoder_b = workspace.encoder_a, workspace.encoder_b

@@ -8,7 +8,6 @@ from flowalign.synth import (
     PAD_TOKEN,
     DatasetConfig,
     SynthDataset,
-    extract_region,
     generate_dataset,
     make_batch,
     make_eval_batch,
@@ -216,7 +215,8 @@ class TestBatching:
             s, e = batch.span[b]
             keep = np.ones(u.valid_len, dtype=bool)
             keep[s:e] = False
-            want, n = extract_region(u.features[: u.valid_len], keep)
+            want = u.features[:u.valid_len][keep]
+            n = want.shape[0]
             assert n == batch.prompt_len[b]
             np.testing.assert_array_equal(batch.prompt_features[b, :n], want)
 

@@ -152,13 +152,6 @@ class TestPrimitiveGradients:
             < self.TOL
         )
 
-    def test_time_mix(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(2, 5, 3)))
-        mix = rng.normal(size=(5, 5))
-        w = Tensor(rng.normal(size=(2, 5, 3)))
-        assert check_gradients(lambda p: (tz.time_mix(p, mix) * w).sum(), x) < self.TOL
-
     def test_cross_entropy(self):
         rng = np.random.default_rng(12)
         logits = Tensor(rng.normal(size=(5, 7)))
@@ -271,13 +264,6 @@ class TestOpSemantics:
         with pytest.raises(ShapeMismatchError):
             Tensor(np.zeros(3)) @ Tensor(np.zeros((3, 2)))
 
-    def test_time_mix_matches_einsum(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 4, 3))
-        m = rng.normal(size=(4, 4))
-        got = tz.time_mix(Tensor(x), m).data
-        np.testing.assert_allclose(got, np.einsum("ts,bsd->btd", m, x), rtol=1e-14)
-
 
 class TestCheckGradients:
     def test_step_size_domain(self):
@@ -330,14 +316,3 @@ class TestSerialization:
         x = Tensor(np.array([[0.1 + 0.2, 1.0 / 3.0]]))
         back = tz.tensor_from_json(json.loads(json.dumps(tz.tensor_to_json(x))))
         assert np.array_equal(back.data, x.data)
-
-    def test_bytes_round_trip(self):
-        rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(3, 4, 2)))
-        back = tz.tensor_from_bytes(tz.tensor_to_bytes(x))
-        assert back.shape == (3, 4, 2)
-        assert np.array_equal(back.data, x.data)
-
-    def test_bytes_rejects_bad_magic(self):
-        with pytest.raises(DomainError):
-            tz.tensor_from_bytes(b"NOPE" + b"\x00" * 16)
