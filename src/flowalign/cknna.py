@@ -51,6 +51,34 @@ def topk_neighbors(gram: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _check_sizes(x: np.ndarray, y: np.ndarray, k: int):
+    if x.shape[0] != y.shape[0]:
+        raise DomainError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
+    n = x.shape[0]
+    if n < 3:
+        raise DegenerateInputError(f"need at least 3 items, got {n}")
+    if not (1 <= k <= n - 1):
+        raise ConfigurationError(f"k={k} outside [1, {n - 1}]")
+
+
+def _kernel(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centered Gram matrix of prepared rows and its top-k neighbor matrix."""
+    gram = centered_gram(x)
+    return gram, topk_neighbors(gram, k)
+
+
+def _score(K, nbr_K, L, nbr_L) -> float:
+    alpha = nbr_K & nbr_L
+
+    def agreement(a: np.ndarray, b: np.ndarray) -> float:
+        return float((a * b)[alpha].sum())
+
+    denom_sq = agreement(K, K) * agreement(L, L)
+    if denom_sq < _DEGENERATE_TOL:
+        return 0.0
+    return agreement(K, L) / np.sqrt(denom_sq)
+
+
 def cknna(x: np.ndarray, y: np.ndarray, k: int = 10, normalize: bool = True) -> float:
     """Mutual-kNN alignment of two representations of the same items.
 
@@ -68,29 +96,21 @@ def cknna(x: np.ndarray, y: np.ndarray, k: int = 10, normalize: bool = True) -> 
     """
     x = _prep(x, "x", normalize)
     y = _prep(y, "y", normalize)
-    if x.shape[0] != y.shape[0]:
-        raise DomainError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    n = x.shape[0]
-    if n < 3:
-        raise DegenerateInputError(f"need at least 3 items, got {n}")
-    if not (1 <= k <= n - 1):
-        raise ConfigurationError(f"k={k} outside [1, {n - 1}]")
-
-    K = centered_gram(x)
-    L = centered_gram(y)
-    alpha = topk_neighbors(K, k) & topk_neighbors(L, k)
-
-    def agreement(a: np.ndarray, b: np.ndarray) -> float:
-        return float((a * b)[alpha].sum())
-
-    denom_sq = agreement(K, K) * agreement(L, L)
-    if denom_sq < _DEGENERATE_TOL:
-        return 0.0
-    return agreement(K, L) / np.sqrt(denom_sq)
+    _check_sizes(x, y, k)
+    return _score(*_kernel(x, k), *_kernel(y, k))
 
 
 def layer_alignment(reps: list[np.ndarray], ref: np.ndarray, k: int = 10) -> np.ndarray:
-    """CKNNA of every layer's representation against one reference."""
+    """CKNNA of every layer's representation against one reference.
+
+    Equals ``[cknna(r, ref, k=k) for r in reps]``; the reference's kernel
+    and neighbors are built once.
+    """
     if not reps:
         raise DegenerateInputError("no layer representations given")
-    return np.array([cknna(r, ref, k=k) for r in reps])
+    y = _prep(ref, "y", True)
+    xs = [_prep(r, "x", True) for r in reps]
+    for x in xs:
+        _check_sizes(x, y, k)
+    ref_kernel = _kernel(y, k)
+    return np.array([_score(*_kernel(x, k), *ref_kernel) for x in xs])

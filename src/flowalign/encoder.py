@@ -107,6 +107,7 @@ class SpeakerEncoder:
             "config": asdict(self.config),
             "n_classes": self.n_classes,
             "frozen": self.frozen,
+            "frozen_hash": self.frozen_hash,
         }
         return save_checkpoint(self.params, path, meta)
 
@@ -120,6 +121,10 @@ class SpeakerEncoder:
         )
         if meta.get("frozen"):
             enc.freeze()
+            if enc.frozen_hash != meta.get("frozen_hash"):
+                raise IntegrityError(
+                    f"frozen encoder checkpoint {path} does not match its frozen hash"
+                )
         return enc
 
 

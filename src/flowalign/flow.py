@@ -198,6 +198,29 @@ def cfm_loss(v: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
 
 # -- sampling -------------------------------------------------------------------
 
+# Items per network evaluation in ``sample`` and ``harness.layer_representations``.
+# Sorted by length, each chunk is cut to its longest item, so few padded frames
+# are evaluated and no (B, T, hidden) temporary of the whole batch is built.
+_CHUNK = 50
+
+
+def _length_chunks(lengths, T: int) -> list[tuple[np.ndarray, int]]:
+    """(items, frames) of each chunk: item indices in ascending order of length
+    (ties by index), _CHUNK at a time, and the frames to run them on.
+
+    numpy computes a product whose left operand has one row as a
+    matrix-vector product, which rounds differently from the matrix-matrix
+    product of more rows. So a lone last item joins the chunk before it, and
+    a chunk runs on at least two frames when T has them: a product then has
+    one row only where the full padded (B, T) batch's has one too.
+    """
+    lengths = np.asarray(lengths)
+    order = np.argsort(lengths, kind="stable")
+    cuts = list(range(_CHUNK, len(order), _CHUNK))
+    if cuts and len(order) % _CHUNK == 1:
+        cuts.pop()
+    return [(idx, max(int(lengths[idx].max()), min(2, T))) for idx in np.split(order, cuts)]
+
 
 def sample(model: FlowModel, batch, n_steps: int, seed):
     """Integrate the learned field with Euler steps from noise to frames.
@@ -205,23 +228,58 @@ def sample(model: FlowModel, batch, n_steps: int, seed):
     Masked frames start at standard normal noise, prompt frames at their
     true values, and the prompt is reimposed after every step.
     Returns a (B, T, feat_dim) array with padding zeroed.
+
+    The sampler relies on the trunk being per-frame: a frame's velocity
+    depends only on its own state, mask bit and token id, and on its
+    item's t and cond, and only masked frames keep theirs. So the network
+    runs only on each item's window, from its first masked frame (rounded
+    down to a token boundary) to one past its last, with the item's tokens
+    shifted to match, in chunks of items sorted by window length. The
+    noise is one draw over the padded batch, sliced per item, so the
+    result equals the Euler loop over the full padded batch bit for bit.
+    Only ``model.forward`` and ``model.config`` are used.
     """
     if n_steps < 1:
         raise ConfigurationError("n_steps must be >= 1")
     rng = np.random.default_rng(seed)
     x1 = np.asarray(batch.x1, dtype=np.float64)
     mask = np.asarray(batch.mask, dtype=np.float64)
+    tokens = np.asarray(batch.cond_tokens)
+    cond = np.asarray(batch.cond)
     B, T, D = x1.shape
-    valid = (np.arange(T)[None, :] < batch.valid_len[:, None]).astype(np.float64)[..., None]
-    m = mask[..., None]
+    Tc = tokens.shape[1]
+    fpt = model.config.frames_per_token
+    valid = (np.arange(T)[None, :] < batch.valid_len[:, None]).astype(np.float64)
+    noise = rng.standard_normal((B, T, D))
 
-    x = (1.0 - m) * x1 + m * rng.standard_normal((B, T, D))
-    x *= valid
+    masked = mask != 0
+    start = np.argmax(masked, axis=1) // fpt * fpt
+    stop = T - np.argmax(masked[:, ::-1], axis=1)
+    width = np.where(masked.any(axis=1), stop - start, 0)
+
+    # what the last step leaves outside the windows: prompt frames, zero padding
+    out = (1.0 - mask[..., None]) * x1 * valid[..., None]
     ts = np.linspace(0.0, 1.0, n_steps + 1)
-    with tz.no_grad():
-        for k in range(n_steps):
-            t = np.full(B, ts[k])
-            v, _ = model.forward(x, t, batch.cond, batch.cond_tokens, mask, batch.valid_len)
-            x = x + (ts[k + 1] - ts[k]) * v.data * valid
-            x = m * x + (1.0 - m) * x1 * valid
-    return x
+    for idx, L in _length_chunks(width, T):
+        if not width[idx].any():
+            continue
+        frames = start[idx, None] + np.arange(L)
+        inside = np.arange(L) < width[idx, None]
+        # frames past an item's own window carry zeros; their velocities are dropped
+        at = (idx[:, None], np.minimum(frames, T - 1))
+        m_w = np.where(inside, mask[at], 0.0)
+        v_w = np.where(inside, valid[at], 0.0)[..., None]
+        x1_w = np.where(inside[..., None], x1[at], 0.0)
+        tok_w = tokens[idx[:, None], np.minimum(start[idx, None] // fpt + np.arange(Tc), Tc - 1)]
+        m = m_w[..., None]
+        x = (1.0 - m) * x1_w + m * np.where(inside[..., None], noise[at], 0.0)
+        x *= v_w
+        with tz.no_grad():
+            for k in range(n_steps):
+                t = np.full(len(idx), ts[k])
+                v, _ = model.forward(x, t, cond[idx], tok_w, m_w, width[idx])
+                x = x + (ts[k + 1] - ts[k]) * v.data * v_w
+                x = m * x + (1.0 - m) * x1_w * v_w
+        i, j = np.nonzero(inside)
+        out[idx[i], frames[i, j]] = x[i, j]
+    return out

@@ -22,7 +22,7 @@ from . import tensor as tz
 from .alignment import AlignConfig, AlignmentHead
 from .encoder import EncoderConfig, SpeakerEncoder, similarity_score, train_encoder
 from .errors import ConfigurationError, TrainingDiagnosticsError
-from .flow import FlowConfig, FlowModel, make_interpolant, cfm_loss, sample
+from .flow import FlowConfig, FlowModel, _length_chunks, make_interpolant, cfm_loss, sample
 from .cknna import layer_alignment
 from .optim import AdamW, cosine_warmup_lr
 from .serialize import params_hash
@@ -151,17 +151,24 @@ def layer_representations(model, batch, t_value: float, noise: np.ndarray) -> li
     """Frame-pooled hidden state of every block at one flow time.
 
     The probe state is the training interpolant built from a fixed noise
-    draw, so the representation depends only on the parameters.
+    draw, so the representation depends only on the parameters. The trunk
+    is per-frame, so the items run in length-sorted chunks, each cut to
+    its longest item, and pool to what the full padded batch gives.
     """
     t = np.full(batch.x1.shape[0], float(t_value))
     x_t, _ = make_interpolant(batch.x1, batch.mask, t, noise)
+    lens = np.asarray(batch.valid_len)
+    chunks = _length_chunks(lens, x_t.shape[1])
+    pooled = []
     with tz.no_grad():
-        _, taps = model.forward(
-            x_t, t, batch.cond, batch.cond_tokens, batch.mask, batch.valid_len
-        )
-        return [
-            np.asarray(tz.mean_pool_time(tap, batch.valid_len).data) for tap in taps
-        ]
+        for idx, L in chunks:
+            _, taps = model.forward(
+                x_t[idx, :L], t[idx], batch.cond[idx], batch.cond_tokens[idx],
+                batch.mask[idx, :L], lens[idx],
+            )
+            pooled.append([tz.mean_pool_time(tap, lens[idx]).data for tap in taps])
+    back = np.argsort(np.concatenate([idx for idx, _ in chunks]))
+    return [np.concatenate(layer)[back] for layer in zip(*pooled)]
 
 
 def cknna_eval(model, batch, encoders, t_value, noise, k) -> dict:
@@ -282,6 +289,17 @@ def train_run(
             total = loss_cfm
             aux_val = 0.0
 
+        total_val = float(total.data)
+        loss_rows.append((step, float(loss_cfm.data), aux_val, total_val))
+        recent.append(total_val)
+        if len(recent) > 20:
+            recent.pop(0)
+        # checked before the update, so a diverged loss never reaches the parameters
+        if not np.isfinite(total_val) or total_val > train_cfg.loss_blowup:
+            raise TrainingDiagnosticsError(
+                f"loss diverged at step {step}: {total_val}", loss_trace=recent
+            )
+
         opt.zero_grad()
         total.backward()
         opt.step(
@@ -293,16 +311,6 @@ def train_run(
                 train_cfg.warmup_steps,
             )
         )
-
-        total_val = float(total.data)
-        loss_rows.append((step, float(loss_cfm.data), aux_val, total_val))
-        recent.append(total_val)
-        if len(recent) > 20:
-            recent.pop(0)
-        if not np.isfinite(total_val) or total_val > train_cfg.loss_blowup:
-            raise TrainingDiagnosticsError(
-                f"loss diverged at step {step}: {total_val}", loss_trace=recent
-            )
 
         if (step + 1) in eval_set:
             eval_rows.append(run_eval(step + 1))

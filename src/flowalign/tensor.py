@@ -54,7 +54,8 @@ class Tensor:
 
     Attributes:
         data: numpy float64 array (row-major).
-        requires_grad: whether backward() should populate ``grad``.
+        requires_grad: whether backward() should populate ``grad``; kept as
+            given under ``no_grad``, which only stops operations recording.
         grad: accumulated gradient, same shape as ``data``; None until a
             backward pass touches this tensor.
     """
@@ -63,7 +64,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_f64(data)
-        self.requires_grad = bool(requires_grad) and _grad_enabled
+        self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable | None = None

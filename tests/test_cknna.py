@@ -176,6 +176,15 @@ class TestLayerProfile:
         with pytest.raises(DegenerateInputError):
             layer_alignment([], ref, k=3)
 
+    def test_equals_per_layer_cknna(self):
+        rng = np.random.default_rng(11)
+        ref = rng.normal(size=(40, 5))
+        reps = [rng.normal(size=(40, 7)) for _ in range(4)]
+        want = np.array([cknna(r, ref, k=6) for r in reps])
+        assert np.array_equal(layer_alignment(reps, ref, k=6), want)
+        with pytest.raises(DomainError):
+            layer_alignment(reps + [reps[0][:30]], ref, k=6)
+
     def test_identical_layer_scores_one(self):
         rng = np.random.default_rng(10)
         ref = rng.normal(size=(10, 4))

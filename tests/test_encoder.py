@@ -1,5 +1,7 @@
 """Identity encoders: accuracy, freezing, embedding contract, round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,16 @@ class TestPersistence:
             back.embed(u.features[None], [u.valid_len]).data,
             enc.embed(u.features[None], [u.valid_len]).data,
         )
+
+    def test_tampered_frozen_checkpoint_rejected(self, trained, tmp_path):
+        enc, _ = trained
+        path = tmp_path / "enc.json"
+        enc.save(path)
+        doc = json.loads(path.read_text())
+        doc["params"]["w2"]["data"][3] += 1e-6
+        path.write_text(json.dumps(doc, sort_keys=True))
+        with pytest.raises(IntegrityError):
+            SpeakerEncoder.load(path)
 
     def test_kind_guard(self, tmp_path):
         (tmp_path / "junk.json").write_text('{"meta": {"kind": "other"}, "params": {}}')

@@ -1,10 +1,15 @@
 """Flow trunk: gradients through the full stack, interpolant, sampler."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowalign import tensor as tz
 from flowalign.errors import ConfigurationError, ShapeMismatchError
 from flowalign.flow import (
+    _CHUNK,
     FlowConfig,
     FlowModel,
     cfm_loss,
@@ -12,6 +17,7 @@ from flowalign.flow import (
     sample,
     sinusoidal_features,
 )
+from flowalign.harness import layer_representations
 from flowalign.synth import PAD_TOKEN
 from flowalign.tensor import Tensor, check_gradients
 
@@ -254,6 +260,115 @@ class TestSampler:
         model = FlowModel(TINY)
         with pytest.raises(ConfigurationError):
             sample(model, batch, n_steps=0, seed=0)
+
+
+def reference_sample(model, batch, n_steps, seed):
+    """Euler loop over the full padded batch: every frame of every item, every step."""
+    rng = np.random.default_rng(seed)
+    x1 = np.asarray(batch.x1, dtype=np.float64)
+    mask = np.asarray(batch.mask, dtype=np.float64)
+    B, T, D = x1.shape
+    valid = (np.arange(T)[None, :] < batch.valid_len[:, None]).astype(np.float64)[..., None]
+    m = mask[..., None]
+    x = (1.0 - m) * x1 + m * rng.standard_normal((B, T, D))
+    x *= valid
+    ts = np.linspace(0.0, 1.0, n_steps + 1)
+    with tz.no_grad():
+        for k in range(n_steps):
+            t = np.full(B, ts[k])
+            v, _ = model.forward(x, t, batch.cond, batch.cond_tokens, mask, batch.valid_len)
+            x = x + (ts[k + 1] - ts[k]) * v.data * valid
+            x = m * x + (1.0 - m) * x1 * valid
+    return x
+
+
+def random_batch(rng, B, fpt, T_max=19, contiguous=True, extra=0):
+    """Random lengths, masks, token counts (some shorter than the frames need) and
+    padding, ``extra`` frames past the longest item."""
+    lens = rng.integers(1, T_max + 1, size=B)
+    T = int(lens.max()) + extra
+    x1 = rng.normal(size=(B, T, TINY.feat_dim)) * (np.arange(T)[None, :, None] < lens[:, None, None])
+    mask = np.zeros((B, T))
+    for b, n in enumerate(lens):
+        kind = rng.integers(4)
+        if kind == 0:  # one masked frame
+            mask[b, rng.integers(n)] = 1.0
+        elif kind == 1 or contiguous:
+            s = rng.integers(n)
+            mask[b, s : rng.integers(s + 1, n + 1)] = 1.0
+        else:
+            mask[b, :n] = rng.uniform(size=n) < 0.4
+    Tc = int(rng.integers(1, -(-T // fpt) + 2))
+    tokens = np.full((B, Tc), PAD_TOKEN)
+    for b in range(B):
+        n_tok = int(rng.integers(1, Tc + 1))
+        tokens[b, :n_tok] = rng.integers(0, TINY.vocab, size=n_tok)
+    cond = rng.normal(size=(B, TINY.cond_dim))
+    return SimpleBatch(x1, cond, tokens, mask, lens)
+
+
+class ForwardOnly:
+    """Exposes only ``forward`` and ``config``, as a timing wrapper around a model may."""
+
+    __slots__ = ("forward", "config")
+
+    def __init__(self, model):
+        self.forward = model.forward
+        self.config = model.config
+
+
+class TestWindowedSampler:
+    """``sample`` runs only the masked windows, in chunks; the bytes must not change."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        B=st.sampled_from([1, 2, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]),
+        fpt=st.sampled_from([1, 2, 4]),
+        contiguous=st.booleans(),
+        extra=st.integers(0, 2),
+        n_steps=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_full_batch_loop(self, B, fpt, contiguous, extra, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, B, fpt, contiguous=contiguous, extra=extra)
+        model = FlowModel(replace(TINY, frames_per_token=fpt, seed=seed % 7))
+        got = sample(model, batch, n_steps, seed)
+        assert np.array_equal(got, reference_sample(model, batch, n_steps, seed))
+
+    def test_item_without_masked_frames_keeps_its_prompt(self):
+        batch = small_batch()
+        batch.mask[1] = 0.0
+        model = FlowModel(TINY)
+        got = sample(model, batch, 2, seed=4)
+        assert np.array_equal(got, reference_sample(model, batch, 2, seed=4))
+        assert np.array_equal(got[1], batch.x1[1])
+
+    def test_forward_and_config_are_enough(self):
+        batch = random_batch(np.random.default_rng(8), _CHUNK + 3, TINY.frames_per_token)
+        model = FlowModel(TINY)
+        got = sample(ForwardOnly(model), batch, 3, seed=2)
+        assert np.array_equal(got, reference_sample(model, batch, 3, seed=2))
+
+
+class TestChunkedRepresentations:
+    @pytest.mark.parametrize("B, T_max", [(1, 1), (1, 9), (_CHUNK + 1, 23), (2 * _CHUNK + 9, 23)])
+    def test_equals_full_batch_pooling(self, B, T_max):
+        rng = np.random.default_rng(12)
+        batch = random_batch(rng, B, TINY.frames_per_token, T_max=T_max, extra=2)
+        model = FlowModel(TINY)
+        noise = rng.standard_normal(batch.x1.shape)
+        t = np.full(batch.x1.shape[0], 0.3)
+        x_t, _ = make_interpolant(batch.x1, batch.mask, t, noise)
+        with tz.no_grad():
+            _, taps = model.forward(
+                x_t, t, batch.cond, batch.cond_tokens, batch.mask, batch.valid_len
+            )
+            want = [tz.mean_pool_time(tap, batch.valid_len).data for tap in taps]
+        got = layer_representations(model, batch, 0.3, noise)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestTimeFeatures:

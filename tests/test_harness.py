@@ -143,6 +143,31 @@ class TestDiagnostics:
             ws.run("baseline", seed=0)
         assert len(exc.value.loss_trace) >= 1
 
+    def test_divergence_raises_before_the_update(self, workspace, monkeypatch):
+        """A non-finite loss at step 3 must leave the parameters of step 2."""
+        from flowalign import harness
+        from flowalign.serialize import params_hash
+
+        models, hashes = [], []
+        real_cfm_loss = harness.cfm_loss
+
+        class Recorded(harness.FlowModel):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                models.append(self)
+
+        def cfm_nan_at_step3(v, target, mask):
+            hashes.append(params_hash(models[0].params))
+            loss = real_cfm_loss(v, target, mask)
+            return loss * float("nan") if len(hashes) == 4 else loss
+
+        monkeypatch.setattr(harness, "cfm_loss", cfm_nan_at_step3)
+        monkeypatch.setattr(harness, "FlowModel", Recorded)
+        with pytest.raises(TrainingDiagnosticsError, match="step 3"):
+            workspace.run("layer_time", seed=0)
+        assert len(hashes) == 4 and hashes[2] != hashes[3]
+        assert params_hash(models[0].params) == hashes[3]
+
     def test_frozen_encoder_required(self, workspace):
         from flowalign.encoder import SpeakerEncoder
         from flowalign.errors import IntegrityError

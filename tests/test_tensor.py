@@ -34,6 +34,21 @@ class TestBackwardMechanics:
         assert y._backward is None and y._parents == ()
         assert not y.requires_grad
 
+    def test_models_built_under_no_grad_keep_trainable_parameters(self):
+        from flowalign.alignment import AlignConfig, AlignmentHead
+        from flowalign.encoder import EncoderConfig, SpeakerEncoder
+        from flowalign.flow import FlowConfig, FlowModel
+
+        with no_grad():
+            models = [
+                FlowModel(FlowConfig(n_blocks=2, hidden=8)),
+                AlignmentHead(AlignConfig(), 2, 8, 4),
+                SpeakerEncoder(EncoderConfig(), n_classes=3),
+            ]
+        for model in models:
+            off = [k for k, p in model.params.items() if not p.requires_grad]
+            assert not off, f"{type(model).__name__}: {off}"
+
     def test_grad_accumulates_across_uses(self):
         x = Tensor([3.0], requires_grad=True)
         y = (x * 2.0 + x * 5.0).sum()
