@@ -40,14 +40,15 @@ def topk_neighbors(gram: np.ndarray, k: int) -> np.ndarray:
     Neighbors are ranked by descending centered-kernel value, excluding
     self; exact ties break toward the lower index.
     """
-    n = gram.shape[0]
-    out = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        row = gram[i].copy()
-        row[i] = -np.inf
-        # lexsort: primary key descending value, secondary ascending index
-        order = np.lexsort((np.arange(n), -row))
-        out[i, order[:k]] = True
+    key = -gram
+    np.fill_diagonal(key, np.inf)
+    # everything strictly before the k-th smallest key is in; the places
+    # left go to the entries tied with it, lowest index first
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
+    out = key < kth
+    ties = key == kth
+    left = k - out.sum(axis=1, keepdims=True)
+    out |= ties & (np.cumsum(ties, axis=1) <= left)
     return out
 
 

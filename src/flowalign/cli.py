@@ -17,6 +17,7 @@ import numpy as np
 
 from .alignment import AlignmentHead, MODES
 from .encoder import SpeakerEncoder, train_encoder
+from .errors import IntegrityError
 from .flow import FlowModel, sample as ode_sample
 from .harness import (
     ExperimentConfig,
@@ -54,6 +55,7 @@ def cmd_train_encoder(args) -> int:
     exp = _load_exp(args)
     cfg = exp.encoder_a if args.variant == "a" else exp.encoder_b
     enc, report = train_encoder(ds, cfg)
+    enc.dataset_hash = ds_hash
     enc.save(args.out)
     print(f"dataset_hash {ds_hash}")
     print(f"holdout_accuracy {report['holdout_accuracy']:.4f}")
@@ -62,15 +64,25 @@ def cmd_train_encoder(args) -> int:
     return 0
 
 
+def _load_encoder(path, dataset_hash) -> SpeakerEncoder:
+    """Load an encoder; refuse one that records a manifest other than ``dataset_hash``."""
+    enc = SpeakerEncoder.load(path)
+    if None not in (enc.dataset_hash, dataset_hash) and enc.dataset_hash != dataset_hash:
+        raise IntegrityError(
+            f"encoder {path} was trained on dataset {enc.dataset_hash}, not on {dataset_hash}"
+        )
+    return enc
+
+
 def cmd_train(args) -> int:
     exp = _load_exp(args)
     ws = Workspace(exp)
     if args.data:
         ws.load_dataset(args.data)
     if args.encoder_a:
-        ws.encoder_a = SpeakerEncoder.load(args.encoder_a)
+        ws.encoder_a = _load_encoder(args.encoder_a, ws.dataset_hash)
     if args.encoder_b:
-        ws.encoder_b = SpeakerEncoder.load(args.encoder_b)
+        ws.encoder_b = _load_encoder(args.encoder_b, ws.dataset_hash)
     result = ws.run(args.mode, args.seed, out_dir=args.out)
     print(f"mode {result.mode} seed {result.seed}")
     print(f"final cfm {result.loss_rows[-1][1]:.6f} total {result.loss_rows[-1][3]:.6f}")
@@ -84,8 +96,8 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     model = FlowModel.load(args.model)
-    enc = SpeakerEncoder.load(args.encoder)
-    ds, _ = read_manifest(args.data)
+    ds, ds_hash = read_manifest(args.data)
+    enc = _load_encoder(args.encoder, ds_hash)
     utts = ds.test[: args.count]
     batch = make_eval_batch(utts, enc, args.mask_fraction)
     gen = ode_sample(model, batch, args.ode_steps, args.seed)
@@ -107,9 +119,9 @@ def cmd_sample(args) -> int:
 def cmd_analyze(args) -> int:
     run = Path(args.run)
     model = FlowModel.load(run / "model.json")
-    enc_a = SpeakerEncoder.load(args.encoder_a)
-    enc_b = SpeakerEncoder.load(args.encoder_b)
-    ds, _ = read_manifest(args.data)
+    ds, ds_hash = read_manifest(args.data)
+    enc_a = _load_encoder(args.encoder_a, ds_hash)
+    enc_b = _load_encoder(args.encoder_b, ds_hash)
     exp = _load_exp(args)
     tc: TrainConfig = exp.train
     batch = make_eval_batch(ds.test[: tc.eval_utterances], enc_a, tc.eval_mask_fraction)

@@ -53,6 +53,7 @@ class SpeakerEncoder:
         self.n_classes = n_classes
         self.frozen = False
         self.frozen_hash = None
+        self.dataset_hash = None  # manifest the encoder was trained on, when known
         rng = np.random.default_rng(config.seed if seed is None else seed)
         d, h, e = config.feat_dim, config.hidden, config.embed_dim
 
@@ -108,6 +109,7 @@ class SpeakerEncoder:
             "n_classes": self.n_classes,
             "frozen": self.frozen,
             "frozen_hash": self.frozen_hash,
+            "dataset_hash": self.dataset_hash,
         }
         return save_checkpoint(self.params, path, meta)
 
@@ -125,6 +127,7 @@ class SpeakerEncoder:
                 raise IntegrityError(
                     f"frozen encoder checkpoint {path} does not match its frozen hash"
                 )
+        enc.dataset_hash = meta.get("dataset_hash")
         return enc
 
 

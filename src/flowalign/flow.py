@@ -136,17 +136,12 @@ class FlowModel:
         )
         ec = tz.affine(Tensor(np.asarray(cond, dtype=np.float64)), p["cond_w"], p["cond_b"])
 
-        H = self.config.hidden
         taps = []
         for i in range(self.config.n_blocks):
             name = f"blk{i}"
             z = (et @ p[f"{name}_ut"]) + (ec @ p[f"{name}_uc"])
-            # one expression: no (B, T, H) temporary outlives its block, which
-            # keeps the peak memory of a no-grad forward at B=500 down
-            h = h + tz.affine(
-                tz.tanh(tz.affine(h, p[f"{name}_w1"], p[f"{name}_b1"]) + z.reshape(B, 1, H)),
-                p[f"{name}_w2"],
-                p[f"{name}_b2"],
+            h = tz.residual_block(
+                h, p[f"{name}_w1"], p[f"{name}_b1"], z, p[f"{name}_w2"], p[f"{name}_b2"]
             )
             taps.append(h)
 

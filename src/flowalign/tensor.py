@@ -259,6 +259,62 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(data, (x, w, b), backward)
 
 
+def residual_block(h: Tensor, w1: Tensor, b1: Tensor, z: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """h + affine(tanh(affine(h, w1, b1) + z[:, None, :]), w2, b2) as one node.
+
+    h is (B, T, H), w1 (H, K), b1 (K,), z (B, K) a per-item shift, w2
+    (K, H) and b2 (H,). The values and gradients equal those of the
+    composition of ``affine``, ``add`` and ``tanh`` bit for bit: the
+    forward runs the same operations in the same order, in place, and the
+    backward adds the two gradient paths into h as separate pieces, as the
+    composition's nodes do. Only the tanh output is kept for backward.
+    """
+    if (
+        h.data.ndim != 3
+        or b1.data.ndim != 1
+        or w1.shape != (h.shape[2], b1.shape[0])
+        or z.shape != (h.shape[0], b1.shape[0])
+        or w2.shape != (b1.shape[0], h.shape[2])
+        or b2.shape != (h.shape[2],)
+    ):
+        raise ShapeMismatchError(
+            f"residual_block shapes disagree: h {h.shape}, w1 {w1.shape}, b1 {b1.shape},"
+            f" z {z.shape}, w2 {w2.shape}, b2 {b2.shape}"
+        )
+    B, T, H = h.shape
+    K = b1.shape[0]
+    h2 = h.data.reshape(-1, H)
+    y = h2 @ w1.data
+    y += b1.data
+    y3 = y.reshape(B, T, K)
+    y3 += z.data[:, None, :]
+    np.tanh(y, out=y)
+    out = y @ w2.data
+    out += b2.data
+    out += h2
+
+    def backward(g):
+        g2 = g.reshape(-1, H)
+        if w2.requires_grad:
+            _accumulate(w2, y.T @ g2)
+        if b2.requires_grad:
+            _accumulate(b2, g2.sum(axis=0))
+        if h.requires_grad:
+            _accumulate(h, g)
+        gs = g2 @ w2.data.T
+        gs *= 1.0 - y * y
+        if z.requires_grad:
+            _accumulate(z, gs.reshape(B, T, K).sum(axis=1))
+        if w1.requires_grad:
+            _accumulate(w1, h2.T @ gs)
+        if b1.requires_grad:
+            _accumulate(b1, gs.sum(axis=0))
+        if h.requires_grad:
+            _accumulate(h, (gs @ w1.data.T).reshape(h.shape))
+
+    return _make(out.reshape(B, T, H), (h, w1, b1, z, w2, b2), backward)
+
+
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 
@@ -344,8 +400,8 @@ def mean_pool_time(x: Tensor, valid_len) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            piece = g[:, None, :] * frame_mask[:, :, None] * inv[:, None, None]
-            _accumulate(x, piece)
+            # frame_mask is 0 or 1, so scaling g first is exact
+            _accumulate(x, (g * inv[:, None])[:, None, :] * frame_mask[:, :, None])
 
     return _make(data, (x,), backward)
 

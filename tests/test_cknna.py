@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowalign.cknna import centered_gram, cknna, layer_alignment, topk_neighbors
 from flowalign.errors import ConfigurationError, DegenerateInputError, DomainError
@@ -130,6 +131,46 @@ class TestTieBreaking:
         got = cknna(x, y, k=5)
         want = oracle_cknna(x, y, k=5)
         assert abs(got - want) < 1e-12
+
+
+def lexsort_topk(gram, k):
+    """One lexsort per row: descending value, then ascending index."""
+    n = gram.shape[0]
+    out = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        row = gram[i].copy()
+        row[i] = -np.inf
+        order = np.lexsort((np.arange(n), -row))
+        out[i, order[:k]] = True
+    return out
+
+
+@st.composite
+def tie_heavy_grams(draw):
+    """A square matrix over a few values, signed zeros included, and a k."""
+    n = draw(st.integers(2, 14))
+    values = draw(st.lists(st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0]),
+                           min_size=n * n, max_size=n * n))
+    k = draw(st.integers(1, n - 1))
+    return np.array(values).reshape(n, n), k
+
+
+class TestTopkNeighbors:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=tie_heavy_grams())
+    def test_equals_lexsort_per_row(self, case):
+        gram, k = case
+        before = gram.copy()
+        got = topk_neighbors(gram, k)
+        assert np.array_equal(got, lexsort_topk(gram, k))
+        assert np.array_equal(gram, before)
+        assert (got.sum(axis=1) == k).all() and not got.diagonal().any()
+
+    @pytest.mark.parametrize("k", [1, 10, 499])
+    def test_equals_lexsort_on_a_real_gram(self, k):
+        x = np.random.default_rng(3).normal(size=(500, 16))
+        gram = centered_gram(x)
+        assert np.array_equal(topk_neighbors(gram, k), lexsort_topk(gram, k))
 
 
 class TestEdges:

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from flowalign.cli import build_parser, main
+from flowalign.errors import IntegrityError
+from flowalign.synth import read_manifest
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCUMENTED = ("README.md", "demos/07_full_experiment.py")
@@ -156,6 +158,27 @@ class TestLifecycle:
         first = (space["root"] / "data" / "manifest.jsonl").read_bytes()
         second = (again / "manifest.jsonl").read_bytes()
         assert first == second
+
+    def test_encoder_records_its_manifest(self, space):
+        _, ds_hash = read_manifest(space["data"])
+        for enc in (space["enc_a"], space["enc_b"]):
+            assert json.loads(Path(enc).read_text())["meta"]["dataset_hash"] == ds_hash
+
+    def test_encoder_of_another_manifest_refused(self, space, tmp_path):
+        other = str(tmp_path / "other")
+        assert main(["gen-data", "--out", other, "--config", space["config"], "--seed", "14"]) == 0
+        assert read_manifest(other)[1] != read_manifest(space["data"])[1]
+        encoders = ["--encoder-a", space["enc_a"], "--encoder-b", space["enc_b"]]
+        commands = [
+            ["train", "--data", other, *encoders, "--config", space["config"]],
+            ["sample", "--model", space["run"] + "/model.json", "--data", other,
+             "--encoder", space["enc_a"], "--out", str(tmp_path / "samples.json")],
+            ["analyze", "--run", space["run"], "--data", other, *encoders,
+             "--config", space["config"]],
+        ]
+        for argv in commands:
+            with pytest.raises(IntegrityError):
+                main(argv)
 
     def test_unknown_mode_rejected(self, space):
         with pytest.raises(SystemExit):
