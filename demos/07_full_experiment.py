@@ -10,8 +10,8 @@ paired test. The command-line interface wraps exactly this lifecycle:
     flowalign train-encoder --config exp.json --data data/ --variant b --out enc_b.json
     flowalign train --config exp.json --data data/ --encoder-a enc_a.json \
         --encoder-b enc_b.json --mode layer_time --seed 0 --out runs/lt0
-    flowalign analyze --run runs/lt0 --data data/ --encoder-a enc_a.json \
-        --encoder-b enc_b.json
+    flowalign analyze --config exp.json --run runs/lt0 --data data/ \
+        --encoder-a enc_a.json --encoder-b enc_b.json
     flowalign report runs/*/ --out table.json
 """
 

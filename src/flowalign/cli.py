@@ -21,14 +21,13 @@ from .errors import IntegrityError
 from .flow import FlowModel, sample as ode_sample
 from .harness import (
     ExperimentConfig,
-    TrainConfig,
     Workspace,
     ablation_table,
-    cknna_eval,
+    eval_inputs,
+    evaluate,
     heatmap_csv_bytes,
     heatmap_tv,
     paired_one_sided_p,
-    similarity_eval,
 )
 from .synth import generate_dataset, make_eval_batch, read_manifest, write_manifest
 
@@ -79,6 +78,8 @@ def cmd_train(args) -> int:
     ws = Workspace(exp)
     if args.data:
         ws.load_dataset(args.data)
+    else:
+        ws.ensure_dataset()  # hashes the corpus, so the encoders' manifests can be checked
     if args.encoder_a:
         ws.encoder_a = _load_encoder(args.encoder_a, ws.dataset_hash)
     if args.encoder_b:
@@ -118,23 +119,21 @@ def cmd_sample(args) -> int:
 
 def cmd_analyze(args) -> int:
     run = Path(args.run)
-    model = FlowModel.load(run / "model.json")
+    report = json.loads((run / "report.json").read_text())
     ds, ds_hash = read_manifest(args.data)
+    if report["dataset_hash"] not in (None, ds_hash):
+        raise IntegrityError(
+            f"run {run} was trained on dataset {report['dataset_hash']}, not on {ds_hash}"
+        )
+    model = FlowModel.load(run / "model.json")
     enc_a = _load_encoder(args.encoder_a, ds_hash)
     enc_b = _load_encoder(args.encoder_b, ds_hash)
-    exp = _load_exp(args)
-    tc: TrainConfig = exp.train
-    batch = make_eval_batch(ds.test[: tc.eval_utterances], enc_a, tc.eval_mask_fraction)
-    noise = np.random.default_rng(args.seed).standard_normal(batch.x1.shape)
-    encoders = {"a": enc_a, "b": enc_b}
-    scores = cknna_eval(model, batch, encoders, tc.eval_probe_t, noise, tc.cknna_k)
-    sims = similarity_eval(model, batch, encoders, tc.eval_ode_steps, args.seed)
-    out = {
-        "layer_cknna_a": [float(v) for v in scores["a"]],
-        "layer_cknna_b": [float(v) for v in scores["b"]],
-        "sim_a": sims["a"],
-        "sim_b": sims["b"],
-    }
+    tc = _load_exp(args).train
+    tc.seed = report["seed"]  # the run's own evaluation stream
+    row = evaluate(model, eval_inputs(ds, enc_a, tc), {"a": enc_a, "b": enc_b}, tc, tc.steps)
+    out = {key: row[key] for key in ("sim_a", "sim_b")}
+    for key in ("layer_cknna_a", "layer_cknna_b"):
+        out[key] = [float(v) for v in row[key]]
     head_path = run / "head.json"
     if head_path.exists():
         head = AlignmentHead.load(head_path)
@@ -232,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder-a", required=True)
     p.add_argument("--encoder-b", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("report", help="aggregate run reports into a table")

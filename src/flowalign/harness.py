@@ -32,6 +32,7 @@ from .synth import (
     generate_dataset,
     make_batch,
     make_eval_batch,
+    manifest_hash,
     pad_stack,
     read_manifest,
     write_manifest,
@@ -125,28 +126,6 @@ def _embed_rows(encoder: SpeakerEncoder, features: np.ndarray, lens: np.ndarray)
     return np.asarray(encoder.embed(features, lens).data)
 
 
-def _gather_generated(gen: np.ndarray, batch) -> tuple[np.ndarray, np.ndarray]:
-    parts = [gen[b, s:e] for b, (s, e) in enumerate(batch.span)]
-    lens = np.array([p.shape[0] for p in parts], dtype=np.int64)
-    return pad_stack(parts), lens
-
-
-def similarity_eval(model, batch, encoders, ode_steps, seed) -> dict:
-    """Generate the masked span and compare identities with the prompt.
-
-    Returns mean cosine similarity between the embedding of the generated
-    region and the embedding of the prompt region, once per encoder.
-    """
-    gen = sample(model, batch, ode_steps, seed)
-    gen_feats, gen_lens = _gather_generated(gen, batch)
-    return {
-        name: similarity_score(
-            enc, gen_feats, gen_lens, batch.prompt_features, batch.prompt_len
-        )
-        for name, enc in encoders.items()
-    }
-
-
 def layer_representations(model, batch, t_value: float, noise: np.ndarray) -> list[np.ndarray]:
     """Frame-pooled hidden state of every block at one flow time.
 
@@ -178,6 +157,38 @@ def cknna_eval(model, batch, encoders, t_value, noise, k) -> dict:
         ref = _embed_rows(enc, batch.x1, batch.valid_len)
         out[name] = layer_alignment(reps, ref, k=k)
     return out
+
+
+def _streams(seed: int) -> list:
+    """The run's random streams: batch order, mask spans, path noise, flow times, evaluation."""
+    return np.random.SeedSequence([seed, 70919]).spawn(5)
+
+
+def eval_inputs(dataset: SynthDataset, encoder_a: SpeakerEncoder, cfg: TrainConfig) -> tuple:
+    """The run's eval batch, CKNNA probe noise and sampler seed, from its evaluation stream."""
+    probe_seed, sample_seed = _streams(cfg.seed)[4].spawn(2)
+    batch = make_eval_batch(dataset.test[: cfg.eval_utterances], encoder_a, cfg.eval_mask_fraction)
+    noise = np.random.default_rng(probe_seed).standard_normal(batch.x1.shape)
+    return batch, noise, sample_seed
+
+
+def evaluate(model, inputs, encoders, cfg: TrainConfig, step: int) -> dict:
+    """One eval row from ``eval_inputs``: per encoder, the similarity of each
+    generated span to its prompt and the CKNNA of every layer."""
+    batch, noise, sample_seed = inputs
+    gen = sample(model, batch, cfg.eval_ode_steps, sample_seed)
+    parts = [gen[b, s:e] for b, (s, e) in enumerate(batch.span)]
+    gen_feats = pad_stack(parts)
+    gen_lens = np.array([p.shape[0] for p in parts], dtype=np.int64)
+    scores = cknna_eval(model, batch, encoders, cfg.eval_probe_t, noise, cfg.cknna_k)
+    row = {"step": step}
+    for name, enc in encoders.items():
+        row[f"sim_{name}"] = similarity_score(
+            enc, gen_feats, gen_lens, batch.prompt_features, batch.prompt_len
+        )
+        row[f"cknna_{name}_mean"] = float(scores[name].mean())
+        row[f"layer_cknna_{name}"] = scores[name]
+    return row
 
 
 # -- the training loop ---------------------------------------------------------
@@ -228,44 +239,18 @@ def train_run(
         },
     )
 
-    ss = np.random.SeedSequence([train_cfg.seed, 70919])
-    order_seed, span_seed, noise_seed, t_seed, eval_seed = ss.spawn(5)
-    order_rng = np.random.default_rng(order_seed)
-    span_rng = np.random.default_rng(span_seed)
-    noise_rng = np.random.default_rng(noise_seed)
-    t_rng = np.random.default_rng(t_seed)
-    eval_ss = eval_seed.spawn(2)
+    streams = _streams(train_cfg.seed)[:4]  # the fifth is eval_inputs'
+    order_rng, span_rng, noise_rng, t_rng = (np.random.default_rng(s) for s in streams)
 
-    eval_batch = make_eval_batch(
-        dataset.test[: train_cfg.eval_utterances], encoder_a, train_cfg.eval_mask_fraction
-    )
-    eval_noise = np.random.default_rng(eval_ss[0]).standard_normal(eval_batch.x1.shape)
+    inputs = eval_inputs(dataset, encoder_a, train_cfg)
     encoders = {"a": encoder_a, "b": encoder_b}
     t_grid = np.linspace(0.0, 1.0, train_cfg.heatmap_points)
     heat0 = head.heatmap(t_grid) if head is not None else None
-
-    def run_eval(step):
-        sims = similarity_eval(
-            model, eval_batch, encoders, train_cfg.eval_ode_steps, eval_ss[1]
-        )
-        scores = cknna_eval(
-            model, eval_batch, encoders, train_cfg.eval_probe_t, eval_noise, train_cfg.cknna_k
-        )
-        return {
-            "step": step,
-            "sim_a": sims["a"],
-            "sim_b": sims["b"],
-            "cknna_a_mean": float(scores["a"].mean()),
-            "cknna_b_mean": float(scores["b"].mean()),
-            "layer_cknna_a": scores["a"],
-            "layer_cknna_b": scores["b"],
-        }
 
     n_train = len(dataset.train)
     eval_set = set(train_cfg.eval_steps)
     loss_rows = []
     eval_rows = []
-    recent = []
     for step in range(train_cfg.steps):
         idx = order_rng.integers(0, n_train, size=train_cfg.batch_size)
         batch = make_batch([dataset.train[i] for i in idx], encoder_a, span_rng)
@@ -291,13 +276,11 @@ def train_run(
 
         total_val = float(total.data)
         loss_rows.append((step, float(loss_cfm.data), aux_val, total_val))
-        recent.append(total_val)
-        if len(recent) > 20:
-            recent.pop(0)
         # checked before the update, so a diverged loss never reaches the parameters
         if not np.isfinite(total_val) or total_val > train_cfg.loss_blowup:
             raise TrainingDiagnosticsError(
-                f"loss diverged at step {step}: {total_val}", loss_trace=recent
+                f"loss diverged at step {step}: {total_val}",
+                loss_trace=[row[3] for row in loss_rows[-20:]],
             )
 
         opt.zero_grad()
@@ -313,10 +296,10 @@ def train_run(
         )
 
         if (step + 1) in eval_set:
-            eval_rows.append(run_eval(step + 1))
+            eval_rows.append(evaluate(model, inputs, encoders, train_cfg, step + 1))
 
     if not eval_rows or eval_rows[-1]["step"] != train_cfg.steps:
-        eval_rows.append(run_eval(train_cfg.steps))
+        eval_rows.append(evaluate(model, inputs, encoders, train_cfg, train_cfg.steps))
 
     encoder_a.check_frozen()
     encoder_b.check_frozen()
@@ -341,18 +324,18 @@ def train_run(
         head=head,
     )
     if out_dir is not None:
-        _write_run(result, model, head, t_grid, out_dir)
+        _write_run(result, t_grid, out_dir)
     return result
 
 
-def _write_run(result: RunResult, model, head, t_grid, out_dir):
+def _write_run(result: RunResult, t_grid, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "losses.csv").write_bytes(losses_csv_bytes(result.loss_rows))
     (out / "eval.csv").write_bytes(eval_csv_bytes(result.eval_rows))
-    model.save(out / "model.json")
-    if head is not None:
-        head.save(out / "head.json")
+    result.model.save(out / "model.json")
+    if result.head is not None:
+        result.head.save(out / "head.json")
         (out / "heatmap_initial.csv").write_bytes(
             heatmap_csv_bytes(t_grid, result.heatmap_initial)
         )
@@ -473,6 +456,7 @@ class Workspace:
     def ensure_dataset(self) -> SynthDataset:
         if self.dataset is None:
             self.dataset = generate_dataset(self.exp.data)
+            self.dataset_hash = manifest_hash(self.dataset)
         return self.dataset
 
     def ensure_encoders(self, min_accuracy: float = 0.95):

@@ -331,10 +331,8 @@ def make_eval_batch(
 # -- manifest I/O --------------------------------------------------------------
 
 
-def write_manifest(dataset: SynthDataset, out_dir) -> str:
-    """Write manifest.jsonl plus a binary feature blob; returns dataset hash."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _manifest_bytes(dataset: SynthDataset) -> tuple[bytes, bytes]:
+    """The manifest.jsonl and features.bin bytes of a dataset."""
     blob = io.BytesIO()
     lines = []
     header = {
@@ -371,10 +369,22 @@ def write_manifest(dataset: SynthDataset, out_dir) -> str:
                     sort_keys=True,
                 )
             )
-    manifest_bytes = ("\n".join(lines) + "\n").encode("utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8"), blob.getvalue()
+
+
+def manifest_hash(dataset: SynthDataset) -> str:
+    """The hash ``write_manifest`` returns for ``dataset``, with nothing written."""
+    return sha256_bytes(b"".join(_manifest_bytes(dataset)))
+
+
+def write_manifest(dataset: SynthDataset, out_dir) -> str:
+    """Write manifest.jsonl plus a binary feature blob; returns dataset hash."""
+    manifest_bytes, blob = _manifest_bytes(dataset)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.jsonl").write_bytes(manifest_bytes)
-    (out / "features.bin").write_bytes(blob.getvalue())
-    return sha256_bytes(manifest_bytes + blob.getvalue())
+    (out / "features.bin").write_bytes(blob)
+    return sha256_bytes(manifest_bytes + blob)
 
 
 def read_manifest(in_dir) -> tuple[SynthDataset, str]:

@@ -8,6 +8,7 @@ import pytest
 
 from flowalign.cli import build_parser, main
 from flowalign.errors import IntegrityError
+from flowalign.harness import ExperimentConfig, Workspace
 from flowalign.synth import read_manifest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,6 +82,22 @@ def space(tmp_path_factory):
     ]
     assert main(args) == 0
     return {"root": root, "config": c, "data": data, "enc_a": enc_a, "enc_b": enc_b, "run": run}
+
+
+@pytest.fixture(scope="module")
+def other(space, tmp_path_factory):
+    """A second manifest from the same config at another seed, with its own encoders."""
+    root = tmp_path_factory.mktemp("other")
+    data = str(root / "data")
+    assert main(["gen-data", "--out", data, "--config", space["config"], "--seed", "14"]) == 0
+    assert read_manifest(data)[1] != read_manifest(space["data"])[1]
+    encoders = []
+    for variant in ("a", "b"):
+        enc = str(root / f"enc_{variant}.json")
+        argv = ["train-encoder", "--data", data, "--out", enc, "--variant", variant]
+        assert main(argv + ["--config", space["config"]]) == 0
+        encoders += [f"--encoder-{variant}", enc]
+    return {"data": data, "encoders": encoders}
 
 
 class TestLifecycle:
@@ -164,21 +181,44 @@ class TestLifecycle:
         for enc in (space["enc_a"], space["enc_b"]):
             assert json.loads(Path(enc).read_text())["meta"]["dataset_hash"] == ds_hash
 
-    def test_encoder_of_another_manifest_refused(self, space, tmp_path):
-        other = str(tmp_path / "other")
-        assert main(["gen-data", "--out", other, "--config", space["config"], "--seed", "14"]) == 0
-        assert read_manifest(other)[1] != read_manifest(space["data"])[1]
+    def test_encoder_of_another_manifest_refused(self, space, other, tmp_path):
         encoders = ["--encoder-a", space["enc_a"], "--encoder-b", space["enc_b"]]
         commands = [
-            ["train", "--data", other, *encoders, "--config", space["config"]],
-            ["sample", "--model", space["run"] + "/model.json", "--data", other,
+            ["train", "--data", other["data"], *encoders, "--config", space["config"]],
+            ["sample", "--model", space["run"] + "/model.json", "--data", other["data"],
              "--encoder", space["enc_a"], "--out", str(tmp_path / "samples.json")],
-            ["analyze", "--run", space["run"], "--data", other, *encoders,
+            ["analyze", "--run", space["run"], "--data", other["data"], *encoders,
              "--config", space["config"]],
         ]
         for argv in commands:
             with pytest.raises(IntegrityError):
                 main(argv)
+
+    def test_analyze_reproduces_the_final_eval_row(self, space):
+        argv = ["analyze", "--run", space["run"], "--data", space["data"], "--encoder-a",
+                space["enc_a"], "--encoder-b", space["enc_b"], "--config", space["config"]]
+        assert main(argv) == 0
+        run = Path(space["run"])
+        doc = json.loads((run / "analysis.json").read_text())
+        rep = json.loads((run / "report.json").read_text())
+        assert doc["sim_a"] == rep["final_sim_a"]
+        assert doc["sim_b"] == rep["final_sim_b"]
+        assert doc["layer_cknna_a"] == rep["layer_cknna_a"]
+        assert doc["layer_cknna_b"] == rep["layer_cknna_b"]
+
+    def test_analyze_refuses_a_run_of_another_manifest(self, space, other):
+        # the encoders match --data; the run itself was trained on space["data"]
+        argv = ["analyze", "--run", space["run"], "--data", other["data"], *other["encoders"],
+                "--config", space["config"]]
+        with pytest.raises(IntegrityError, match="run .* was trained on dataset"):
+            main(argv)
+
+    def test_train_without_data_checks_encoders(self, space, other):
+        ws = Workspace(ExperimentConfig.load(space["config"]))
+        ws.ensure_dataset()
+        assert ws.dataset_hash == read_manifest(space["data"])[1]
+        with pytest.raises(IntegrityError):
+            main(["train", *other["encoders"], "--config", space["config"]])
 
     def test_unknown_mode_rejected(self, space):
         with pytest.raises(SystemExit):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flowalign.tensor as tz
 from flowalign.tensor import Tensor, check_gradients, no_grad
@@ -471,3 +472,45 @@ class TestSerialization:
         x = Tensor(np.array([[0.1 + 0.2, 1.0 / 3.0]]))
         back = tz.tensor_from_json(json.loads(json.dumps(tz.tensor_to_json(x))))
         assert np.array_equal(back.data, x.data)
+
+
+@st.composite
+def broadcast_pairs(draw):
+    """Two shapes that broadcast together: each keeps a suffix of one output
+    shape, with any of its axes cut to 1; an empty suffix is a scalar."""
+    out = draw(st.lists(st.integers(1, 4), max_size=4))
+
+    def operand():
+        lead = draw(st.integers(0, len(out)))
+        return tuple(1 if draw(st.booleans()) else n for n in out[lead:])
+
+    return operand(), operand()
+
+
+def scatter_sum(upstream, shape):
+    """Sum each output element's gradient into the operand entry it was read from."""
+    size = int(np.prod(shape))
+    src = np.broadcast_to(np.arange(size).reshape(shape), upstream.shape)
+    return np.bincount(src.ravel(), weights=upstream.ravel(), minlength=size).reshape(shape)
+
+
+class TestBroadcastProperties:
+    """``add`` and ``mul`` on random broadcast-compatible shapes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shapes=broadcast_pairs(), op=st.sampled_from(["add", "mul"]))
+    def test_gradients(self, shapes, op):
+        sa, sb = shapes
+        rng = np.random.default_rng(0)
+        a0, b0 = rng.normal(size=sa), rng.normal(size=sb)
+        w = Tensor(rng.normal(size=np.broadcast_shapes(sa, sb)))  # the upstream gradient
+        f = getattr(tz, op)
+        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+        (f(a, b) * w).sum().backward()
+        up_a, up_b = (w.data * b0, w.data * a0) if op == "mul" else (w.data, w.data)
+        for grad, up, shape in ((a.grad, up_a, sa), (b.grad, up_b, sb)):
+            assert np.shape(grad) == shape
+            want = scatter_sum(np.broadcast_to(up, w.shape), shape)
+            np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12)
+        assert check_gradients(lambda p: (f(p, Tensor(b0)) * w).sum(), Tensor(a0)) < 1e-6
+        assert check_gradients(lambda p: (f(Tensor(a0), p) * w).sum(), Tensor(b0)) < 1e-6
