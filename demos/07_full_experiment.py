@@ -10,9 +10,12 @@ paired test. The command-line interface wraps exactly this lifecycle:
     flowalign train-encoder --config exp.json --data data/ --variant b --out enc_b.json
     flowalign train --config exp.json --data data/ --encoder-a enc_a.json \
         --encoder-b enc_b.json --mode layer_time --seed 0 --out runs/lt0
-    flowalign analyze --config exp.json --run runs/lt0 --data data/ \
+    flowalign analyze --run runs/lt0 --data data/ \
         --encoder-a enc_a.json --encoder-b enc_b.json
     flowalign report runs/*/ --out table.json
+
+``train`` records the config it ran with in the run's ``report.json``, so
+``analyze`` needs no ``--config`` to repeat the run's final evaluation.
 """
 
 import tempfile

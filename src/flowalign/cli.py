@@ -13,9 +13,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
-from .alignment import AlignmentHead, MODES
+from .alignment import MODES
 from .encoder import SpeakerEncoder, train_encoder
 from .errors import IntegrityError
 from .flow import FlowModel, sample as ode_sample
@@ -25,15 +23,13 @@ from .harness import (
     ablation_table,
     eval_inputs,
     evaluate,
-    heatmap_csv_bytes,
-    heatmap_tv,
     paired_one_sided_p,
 )
 from .synth import generate_dataset, make_eval_batch, read_manifest, write_manifest
 
 
 def _load_exp(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return ExperimentConfig.load(args.config)
     return ExperimentConfig()
 
@@ -64,9 +60,9 @@ def cmd_train_encoder(args) -> int:
 
 
 def _load_encoder(path, dataset_hash) -> SpeakerEncoder:
-    """Load an encoder; refuse one that records a manifest other than ``dataset_hash``."""
+    """Load an encoder; refuse one that records no manifest or another than ``dataset_hash``."""
     enc = SpeakerEncoder.load(path)
-    if None not in (enc.dataset_hash, dataset_hash) and enc.dataset_hash != dataset_hash:
+    if enc.dataset_hash != dataset_hash:
         raise IntegrityError(
             f"encoder {path} was trained on dataset {enc.dataset_hash}, not on {dataset_hash}"
         )
@@ -99,6 +95,7 @@ def cmd_sample(args) -> int:
     model = FlowModel.load(args.model)
     ds, ds_hash = read_manifest(args.data)
     enc = _load_encoder(args.encoder, ds_hash)
+    ExperimentConfig(data=ds.config, encoder_a=enc.config, flow=model.config).validate()
     utts = ds.test[: args.count]
     batch = make_eval_batch(utts, enc, args.mask_fraction)
     gen = ode_sample(model, batch, args.ode_steps, args.seed)
@@ -120,6 +117,8 @@ def cmd_sample(args) -> int:
 def cmd_analyze(args) -> int:
     run = Path(args.run)
     report = json.loads((run / "report.json").read_text())
+    if "config" not in report:
+        raise IntegrityError(f"run {run} records no config")
     ds, ds_hash = read_manifest(args.data)
     if report["dataset_hash"] not in (None, ds_hash):
         raise IntegrityError(
@@ -128,31 +127,15 @@ def cmd_analyze(args) -> int:
     model = FlowModel.load(run / "model.json")
     enc_a = _load_encoder(args.encoder_a, ds_hash)
     enc_b = _load_encoder(args.encoder_b, ds_hash)
-    tc = _load_exp(args).train
-    tc.seed = report["seed"]  # the run's own evaluation stream
+    tc = ExperimentConfig.from_dict(report["config"]).train
     row = evaluate(model, eval_inputs(ds, enc_a, tc), {"a": enc_a, "b": enc_b}, tc, tc.steps)
     out = {key: row[key] for key in ("sim_a", "sim_b")}
     for key in ("layer_cknna_a", "layer_cknna_b"):
         out[key] = [float(v) for v in row[key]]
-    head_path = run / "head.json"
-    if head_path.exists():
-        head = AlignmentHead.load(head_path)
-        grid = np.linspace(0.0, 1.0, tc.heatmap_points)
-        heat = head.heatmap(grid)
-        (run / "heatmap_analysis.csv").write_bytes(heatmap_csv_bytes(grid, heat))
-        init_csv = run / "heatmap_initial.csv"
-        if init_csv.exists():
-            h0 = _read_heatmap_csv(init_csv)
-            out["heatmap_tv_from_initial"] = heatmap_tv(h0, heat)
     (run / "analysis.json").write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(json.dumps({k: v for k, v in out.items() if not k.startswith("layer_")}, indent=2))
     print(f"wrote {run / 'analysis.json'}")
     return 0
-
-
-def _read_heatmap_csv(path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()[1:]
-    return np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines])
 
 
 def cmd_report(args) -> int:
@@ -230,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--encoder-a", required=True)
     p.add_argument("--encoder-b", required=True)
-    p.add_argument("--config")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("report", help="aggregate run reports into a table")

@@ -84,6 +84,7 @@ class RunResult:
     heatmap_final: np.ndarray
     trunk_hash: str
     wall_seconds: float
+    config: ExperimentConfig  # the run's inputs, as validated by train_run
     out_dir: str | None = None
     dataset_hash: str | None = None
     model: object = None
@@ -210,8 +211,10 @@ def train_run(
     mode or lam == 0), which leaves the trunk's gradients, optimizer
     state, and loss trajectory identical to a run without the head.
     """
-    train_cfg.validate()
-    align_cfg.validate()
+    config = ExperimentConfig(
+        dataset.config, encoder_a.config, encoder_b.config, flow_cfg, align_cfg, train_cfg
+    )
+    config.validate()
     encoder_a.check_frozen()
     encoder_b.check_frozen()
     t0 = time.monotonic()
@@ -319,6 +322,7 @@ def train_run(
         heatmap_final=heat1,
         trunk_hash=params_hash(model.params),
         wall_seconds=time.monotonic() - t0,
+        config=config,
         dataset_hash=dataset_hash,
         model=model,
         head=head,
@@ -334,15 +338,8 @@ def _write_run(result: RunResult, t_grid, out_dir):
     (out / "losses.csv").write_bytes(losses_csv_bytes(result.loss_rows))
     (out / "eval.csv").write_bytes(eval_csv_bytes(result.eval_rows))
     result.model.save(out / "model.json")
-    if result.head is not None:
-        result.head.save(out / "head.json")
-        (out / "heatmap_initial.csv").write_bytes(
-            heatmap_csv_bytes(t_grid, result.heatmap_initial)
-        )
-        (out / "heatmap_final.csv").write_bytes(
-            heatmap_csv_bytes(t_grid, result.heatmap_final)
-        )
     report = {
+        "config": asdict(result.config),
         "mode": result.mode,
         "seed": result.seed,
         "trunk_hash": result.trunk_hash,
@@ -358,6 +355,12 @@ def _write_run(result: RunResult, t_grid, out_dir):
             "total": result.loss_rows[-1][3],
         },
     }
+    if result.head is not None:
+        result.head.save(out / "head.json")
+        h0, h1 = result.heatmap_initial, result.heatmap_final
+        (out / "heatmap_initial.csv").write_bytes(heatmap_csv_bytes(t_grid, h0))
+        (out / "heatmap_final.csv").write_bytes(heatmap_csv_bytes(t_grid, h1))
+        report["heatmap_tv_from_initial"] = heatmap_tv(h0, h1)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     result.out_dir = str(out)
 
@@ -411,6 +414,9 @@ class ExperimentConfig:
             raise ConfigurationError("flow vocab must match dataset vocab")
         if self.flow.frames_per_token != self.data.frames_per_token:
             raise ConfigurationError("frames_per_token must match dataset")
+        n_eval = min(self.train.eval_utterances, self.data.test_utterances)
+        if not 1 <= self.train.cknna_k < n_eval:
+            raise ConfigurationError(f"cknna_k={self.train.cknna_k} outside [1, {n_eval - 1}]")
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":

@@ -2,12 +2,15 @@
 
 import json
 import shlex
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from flowalign.cli import build_parser, main
-from flowalign.errors import IntegrityError
+from flowalign.encoder import SpeakerEncoder
+from flowalign.errors import ConfigurationError, IntegrityError
+from flowalign.flow import FlowConfig, FlowModel
 from flowalign.harness import ExperimentConfig, Workspace
 from flowalign.synth import read_manifest
 
@@ -116,6 +119,14 @@ class TestLifecycle:
         assert rep["mode"] == "layer_time"
         assert (run / "losses.csv").exists()
         assert (run / "model.json").exists()
+        # the config the run was trained with: the manifest's data section, the
+        # encoders' own configs, and --config with the run's mode and seed
+        exp = ExperimentConfig.load(space["config"])
+        exp.data = read_manifest(space["data"])[0].config
+        exp.encoder_a = SpeakerEncoder.load(space["enc_a"]).config
+        exp.encoder_b = SpeakerEncoder.load(space["enc_b"]).config
+        exp.align.mode, exp.train.seed = "layer_time", 0
+        assert rep["config"] == json.loads(json.dumps(asdict(exp)))
 
     def test_sample_writes_continuations(self, space, tmp_path):
         out = tmp_path / "samples.json"
@@ -140,7 +151,7 @@ class TestLifecycle:
         s, e = doc["samples"][0]["span"]
         assert len(doc["samples"][0]["generated"]) == e - s
 
-    def test_analyze_writes_heatmap_and_scores(self, space):
+    def test_analyze_writes_scores_and_no_heatmap(self, space):
         args = [
             "analyze",
             "--run",
@@ -151,15 +162,16 @@ class TestLifecycle:
             space["enc_a"],
             "--encoder-b",
             space["enc_b"],
-            "--config",
-            space["config"],
         ]
         assert main(args) == 0
         run = space["root"] / "run0"
         doc = json.loads((run / "analysis.json").read_text())
         assert len(doc["layer_cknna_a"]) == 3
-        assert "heatmap_tv_from_initial" in doc
-        assert (run / "heatmap_analysis.csv").exists()
+        # the gate heatmaps and their distance are train's, in the run's report
+        rep = json.loads((run / "report.json").read_text())
+        assert 0.0 <= rep["heatmap_tv_from_initial"] <= 1.0
+        assert "heatmap_tv_from_initial" not in doc
+        assert not (run / "heatmap_analysis.csv").exists()
 
     def test_report_aggregates(self, space, tmp_path, capsys):
         out = tmp_path / "table.json"
@@ -187,29 +199,74 @@ class TestLifecycle:
             ["train", "--data", other["data"], *encoders, "--config", space["config"]],
             ["sample", "--model", space["run"] + "/model.json", "--data", other["data"],
              "--encoder", space["enc_a"], "--out", str(tmp_path / "samples.json")],
-            ["analyze", "--run", space["run"], "--data", other["data"], *encoders,
-             "--config", space["config"]],
+            ["analyze", "--run", space["run"], "--data", other["data"], *encoders],
         ]
         for argv in commands:
             with pytest.raises(IntegrityError):
                 main(argv)
 
+    def test_encoder_without_manifest_refused(self, space, tmp_path):
+        enc = SpeakerEncoder.load(space["enc_a"])
+        enc.dataset_hash = None
+        bare = str(tmp_path / "enc_bare.json")
+        enc.save(bare)
+        encoders = ["--encoder-a", bare, "--encoder-b", space["enc_b"]]
+        commands = [
+            ["train", "--data", space["data"], *encoders, "--config", space["config"]],
+            ["sample", "--model", space["run"] + "/model.json", "--data", space["data"],
+             "--encoder", bare, "--out", str(tmp_path / "samples.json")],
+            ["analyze", "--run", space["run"], "--data", space["data"], *encoders],
+        ]
+        for argv in commands:
+            with pytest.raises(IntegrityError, match="trained on dataset None"):
+                main(argv)
+
+    def test_train_refuses_a_manifest_that_contradicts_the_config(self, space, tmp_path):
+        cfg = json.loads(Path(space["config"]).read_text())
+        cfg["data"]["frames_per_token"] = 2
+        cfg_path = str(tmp_path / "fpt2.json")
+        Path(cfg_path).write_text(json.dumps(cfg))
+        data, enc = str(tmp_path / "data"), str(tmp_path / "enc.json")
+        assert main(["gen-data", "--out", data, "--config", cfg_path]) == 0
+        assert main(["train-encoder", "--data", data, "--out", enc, "--config", cfg_path]) == 0
+        argv = ["train", "--data", data, "--encoder-a", enc, "--encoder-b", enc,
+                "--config", space["config"], "--out", str(tmp_path / "run")]
+        with pytest.raises(ConfigurationError, match="frames_per_token"):
+            main(argv)
+        assert not (tmp_path / "run").exists()
+
+    def test_sample_refuses_a_model_of_another_frames_per_token(self, space, tmp_path):
+        model = str(tmp_path / "model.json")
+        FlowModel(FlowConfig(n_blocks=3, hidden=32, frames_per_token=2)).save(model)
+        argv = ["sample", "--model", model, "--data", space["data"], "--encoder",
+                space["enc_a"], "--out", str(tmp_path / "samples.json")]
+        with pytest.raises(ConfigurationError, match="frames_per_token"):
+            main(argv)
+
     def test_analyze_reproduces_the_final_eval_row(self, space):
+        # no --config: the run's report.json says how it was evaluated
         argv = ["analyze", "--run", space["run"], "--data", space["data"], "--encoder-a",
-                space["enc_a"], "--encoder-b", space["enc_b"], "--config", space["config"]]
+                space["enc_a"], "--encoder-b", space["enc_b"]]
         assert main(argv) == 0
         run = Path(space["run"])
         doc = json.loads((run / "analysis.json").read_text())
         rep = json.loads((run / "report.json").read_text())
-        assert doc["sim_a"] == rep["final_sim_a"]
-        assert doc["sim_b"] == rep["final_sim_b"]
-        assert doc["layer_cknna_a"] == rep["layer_cknna_a"]
-        assert doc["layer_cknna_b"] == rep["layer_cknna_b"]
+        final = {"sim_a": rep["final_sim_a"], "sim_b": rep["final_sim_b"]}
+        final.update({key: rep[key] for key in ("layer_cknna_a", "layer_cknna_b")})
+        assert doc == final
+
+    def test_analyze_refuses_a_run_that_records_no_config(self, space, tmp_path):
+        rep = json.loads((Path(space["run"]) / "report.json").read_text())
+        del rep["config"]
+        (tmp_path / "report.json").write_text(json.dumps(rep))
+        argv = ["analyze", "--run", str(tmp_path), "--data", space["data"], "--encoder-a",
+                space["enc_a"], "--encoder-b", space["enc_b"]]
+        with pytest.raises(IntegrityError, match="records no config"):
+            main(argv)
 
     def test_analyze_refuses_a_run_of_another_manifest(self, space, other):
         # the encoders match --data; the run itself was trained on space["data"]
-        argv = ["analyze", "--run", space["run"], "--data", other["data"], *other["encoders"],
-                "--config", space["config"]]
+        argv = ["analyze", "--run", space["run"], "--data", other["data"], *other["encoders"]]
         with pytest.raises(IntegrityError, match="run .* was trained on dataset"):
             main(argv)
 

@@ -1,6 +1,7 @@
 """Orchestration: run determinism, ablation equivalences, artifacts, CLI."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from flowalign.harness import (
     losses_csv_bytes,
     paired_one_sided_p,
     spearman,
+    train_run,
 )
 from flowalign.synth import DatasetConfig
 
@@ -114,6 +116,9 @@ class TestRunArtifacts:
         rep = json.loads((out / "report.json").read_text())
         assert rep["mode"] == "layer_time" and rep["seed"] == 4
         assert rep["trunk_hash"] == r.trunk_hash
+        assert rep["config"] == json.loads(json.dumps(asdict(r.config)))
+        assert r.config.train.seed == 4 and r.config.align.mode == "layer_time"
+        assert rep["heatmap_tv_from_initial"] == heatmap_tv(r.heatmap_initial, r.heatmap_final)
         assert len(rep["layer_cknna_a"]) == workspace.exp.flow.n_blocks
         body = (out / "losses.csv").read_bytes()
         assert body == losses_csv_bytes(r.loss_rows)
@@ -212,6 +217,23 @@ class TestConfig:
         exp.encoder_a = EncoderConfig(embed_dim=5)
         with pytest.raises(ConfigurationError):
             exp.validate()
+
+    def test_cknna_k_checked_against_the_eval_set(self):
+        exp = micro_experiment()
+        exp.train.cknna_k = 15  # 16 eval utterances: the largest valid k
+        exp.validate()
+        for k, n_eval, n_test in ((0, 16, 24), (16, 16, 24), (12, 12, 24), (12, 16, 12)):
+            exp.train.cknna_k, exp.train.eval_utterances = k, n_eval
+            exp.data.test_utterances = n_test
+            with pytest.raises(ConfigurationError, match="cknna_k"):
+                exp.validate()
+
+    def test_train_run_validates_the_inputs_it_is_given(self, workspace):
+        # the dataset was drawn with frames_per_token=4
+        flow = FlowConfig(n_blocks=3, hidden=32, frames_per_token=2)
+        with pytest.raises(ConfigurationError, match="frames_per_token"):
+            train_run(workspace.dataset, workspace.encoder_a, workspace.encoder_b, flow,
+                      AlignConfig(), TrainConfig(steps=1, eval_utterances=16, cknna_k=5))
 
 
 class TestAnalysisHelpers:
