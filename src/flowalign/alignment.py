@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ConfigurationError, ShapeMismatchError
-from .flow import sinusoidal_features
+from .flow import Taps, sinusoidal_features
 from .serialize import load_strict, save_checkpoint
 from .tensor import Tensor
 
@@ -82,7 +82,8 @@ class AlignmentHead:
         """Cosine distances of adapted pooled taps to the identity target.
 
         Returns a (B, n_layers) tensor; column i is 1 - cos(e_sa, adapter_i
-        applied to the frame-pooled tap of layer i).
+        applied to the frame-pooled tap of layer i). ``taps`` is the model's
+        ``Taps``, pooled from its rows, or a list of padded (B, T, D) tensors.
         """
         if len(taps) != self.n_layers:
             raise ShapeMismatchError(
@@ -93,11 +94,16 @@ class AlignmentHead:
             raise ShapeMismatchError(
                 f"identity target must be (B, {self.embed_dim}), got {e_sa.shape}"
             )
+        if isinstance(taps, Taps):
+            if not np.array_equal(taps.seg.counts, np.asarray(valid_len)):
+                raise ShapeMismatchError("valid_len disagrees with the frames the taps hold")
+            pooled_taps = taps.item_means()
+        else:
+            pooled_taps = [tz.mean_pool_time(tap, valid_len) for tap in taps]
         target = Tensor(e_sa)
         p = self.params
         cols = []
-        for i, tap in enumerate(taps):
-            pooled = tz.mean_pool_time(tap, valid_len)
+        for i, pooled in enumerate(pooled_taps):
             h = tz.tanh(tz.affine(pooled, p[f"ad{i}_w1"], p[f"ad{i}_b1"]))
             proj = tz.affine(h, p[f"ad{i}_w2"], p[f"ad{i}_b2"])
             cols.append(1.0 - tz.cosine_similarity(target, proj))

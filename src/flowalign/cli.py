@@ -95,7 +95,7 @@ def cmd_sample(args) -> int:
     model = FlowModel.load(args.model)
     ds, ds_hash = read_manifest(args.data)
     enc = _load_encoder(args.encoder, ds_hash)
-    ExperimentConfig(data=ds.config, encoder_a=enc.config, flow=model.config).validate()
+    ExperimentConfig(data=ds.config, encoder_a=enc.config, flow=model.config).check_dimensions()
     utts = ds.test[: args.count]
     batch = make_eval_batch(utts, enc, args.mask_fraction)
     gen = ode_sample(model, batch, args.ode_steps, args.seed)
@@ -120,9 +120,9 @@ def cmd_analyze(args) -> int:
     if "config" not in report:
         raise IntegrityError(f"run {run} records no config")
     ds, ds_hash = read_manifest(args.data)
-    if report["dataset_hash"] not in (None, ds_hash):
+    if report.get("dataset_hash") != ds_hash:
         raise IntegrityError(
-            f"run {run} was trained on dataset {report['dataset_hash']}, not on {ds_hash}"
+            f"run {run} was trained on dataset {report.get('dataset_hash')}, not on {ds_hash}"
         )
     model = FlowModel.load(run / "model.json")
     enc_a = _load_encoder(args.encoder_a, ds_hash)

@@ -4,11 +4,13 @@ The model regresses the straight-path velocity x1 - x0 on masked frames.
 Each residual block modulates per-frame features with a learned time
 embedding and the frozen identity embedding of the prompt; the hidden
 state after every block is exposed as a tap so later stages can attach
-per-layer supervision and representation probes.
+per-layer supervision and representation probes. The trunk runs on the
+valid frames only, as (N, hidden) rows, behind a padded interface.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -45,6 +47,28 @@ def sinusoidal_features(t: np.ndarray, dim: int) -> np.ndarray:
     freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
     ang = np.asarray(t, dtype=np.float64).reshape(-1, 1) * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+class Taps(Sequence):
+    """The hidden state after every block, kept as (N, hidden) rows of the valid frames.
+
+    ``taps[i]`` builds block i's padded (B, T, hidden) Tensor, zero on
+    padding, at each access; ``item_means()`` pools every block's rows per
+    item without building it.
+    """
+
+    def __init__(self, rows: list, seg: tz.Segments, frames: np.ndarray, lead: tuple):
+        self.rows, self.seg, self.frames, self.lead = rows, seg, frames, lead
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i) -> Tensor:
+        return tz.scatter_rows(self.rows[i], self.frames, self.lead)
+
+    def item_means(self) -> list:
+        """Each block's (B, hidden) mean over its items' frames, with gradient."""
+        return [tz.segment_mean(r, self.seg) for r in self.rows]
 
 
 class FlowModel:
@@ -109,8 +133,12 @@ class FlowModel:
             valid_len: (B,) frames per item.
 
         Returns:
-            (v, taps) where v is a (B, T, feat_dim) tensor and taps is the
-            list of (B, T, hidden) hidden states after every block.
+            (v, taps) where v is a (B, T, feat_dim) tensor, zero on padding,
+            and taps is a ``Taps`` of the hidden states after every block.
+
+        The trunk is per-frame, so it runs on the valid frames only: they
+        are gathered once into rows, item after item, and each row's value
+        equals that frame's in a run over the whole padded batch bit for bit.
         """
         x_t = np.asarray(x_t, dtype=np.float64)
         B, T, D = x_t.shape
@@ -121,11 +149,21 @@ class FlowModel:
                 f"cond must be (B, {self.config.cond_dim}), got {np.asarray(cond).shape}"
             )
         p = self.params
-        xin = Tensor(np.concatenate([x_t, np.asarray(mask, dtype=np.float64)[..., None]], axis=-1))
-        h = tz.affine(xin, p["in_w"], p["in_b"])
+        valid = np.arange(T)[None, :] < np.asarray(valid_len)[:, None]
+        frames = np.flatnonzero(valid)
+        # numpy runs a one-row product as gemv, which rounds differently from the
+        # padded batch's gemm, so a lone row runs beside a spare copy of itself
+        rows = np.repeat(frames, 2) if frames.size == 1 < B * T else frames
+        seg = tz.Segments(valid.sum(axis=1), n_rows=rows.size)
 
-        ids = self._frame_token_ids(np.asarray(cond_tokens), T, valid_len)
-        live = (ids != PAD_TOKEN).astype(np.float64)[..., None]
+        xin = np.concatenate(
+            [x_t.reshape(-1, D)[rows], np.asarray(mask, dtype=np.float64).reshape(-1, 1)[rows]],
+            axis=1,
+        )
+        h = tz.affine(Tensor(xin), p["in_w"], p["in_b"])
+
+        ids = self._frame_token_ids(np.asarray(cond_tokens), T, valid_len).reshape(-1)[rows]
+        live = (ids != PAD_TOKEN).astype(np.float64)[:, None]
         tok = tz.embedding(p["tok_table"], np.maximum(ids, 0))
         tok = tz.affine(tok * Tensor(live), p["tok_w"], Tensor(np.zeros(self.config.hidden)))
         h = h + tok
@@ -141,12 +179,12 @@ class FlowModel:
             name = f"blk{i}"
             z = (et @ p[f"{name}_ut"]) + (ec @ p[f"{name}_uc"])
             h = tz.residual_block(
-                h, p[f"{name}_w1"], p[f"{name}_b1"], z, p[f"{name}_w2"], p[f"{name}_b2"]
+                h, p[f"{name}_w1"], p[f"{name}_b1"], z, p[f"{name}_w2"], p[f"{name}_b2"], seg
             )
             taps.append(h)
 
-        v = tz.affine(h, p["out_w"], p["out_b"])
-        return v, taps
+        v = tz.scatter_rows(tz.affine(h, p["out_w"], p["out_b"]), frames, (B, T))
+        return v, Taps(taps, seg, frames, (B, T))
 
     def save(self, path) -> str:
         meta = {"kind": "flow-model", "config": asdict(self.config)}
@@ -193,9 +231,8 @@ def cfm_loss(v: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
 
 # -- sampling -------------------------------------------------------------------
 
-# Items per network evaluation in ``sample`` and ``harness.layer_representations``.
-# Sorted by length, each chunk is cut to its longest item, so few padded frames
-# are evaluated and no (B, T, hidden) temporary of the whole batch is built.
+# Items per network evaluation in ``sample`` and ``harness.layer_representations``,
+# so the rows of the twelve taps of one evaluation stay small.
 _CHUNK = 50
 
 
@@ -205,9 +242,11 @@ def _length_chunks(lengths, T: int) -> list[tuple[np.ndarray, int]]:
 
     numpy computes a product whose left operand has one row as a
     matrix-vector product, which rounds differently from the matrix-matrix
-    product of more rows. So a lone last item joins the chunk before it, and
-    a chunk runs on at least two frames when T has them: a product then has
-    one row only where the full padded (B, T) batch's has one too.
+    product of more rows, and ``FlowModel.forward`` runs one row only when
+    its padded batch has one frame. So a lone last item joins the chunk
+    before it, and a chunk runs on at least two frames when T has them: a
+    product then has one row only where the full padded (B, T) batch's has
+    one too.
     """
     lengths = np.asarray(lengths)
     order = np.argsort(lengths, kind="stable")
@@ -229,10 +268,12 @@ def sample(model: FlowModel, batch, n_steps: int, seed):
     item's t and cond, and only masked frames keep theirs. So the network
     runs only on each item's window, from its first masked frame (rounded
     down to a token boundary) to one past its last, with the item's tokens
-    shifted to match, in chunks of items sorted by window length. The
-    noise is one draw over the padded batch, sliced per item, so the
-    result equals the Euler loop over the full padded batch bit for bit.
-    Only ``model.forward`` and ``model.config`` are used.
+    shifted to match, in chunks of items sorted by window length. Each
+    window is passed as the item's valid frames, so ``forward`` runs its
+    rows and nothing of the chunk's padding. The noise is one draw over
+    the padded batch, sliced per item, so the result equals the Euler loop
+    over the full padded batch bit for bit. Only ``model.forward`` and
+    ``model.config`` are used.
     """
     if n_steps < 1:
         raise ConfigurationError("n_steps must be >= 1")

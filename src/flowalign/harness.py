@@ -132,8 +132,9 @@ def layer_representations(model, batch, t_value: float, noise: np.ndarray) -> li
 
     The probe state is the training interpolant built from a fixed noise
     draw, so the representation depends only on the parameters. The trunk
-    is per-frame, so the items run in length-sorted chunks, each cut to
-    its longest item, and pool to what the full padded batch gives.
+    is per-frame, so the items run in chunks, and each tap is pooled from
+    its rows by ``Taps.item_means`` without a padded tap; the result
+    equals ``mean_pool_time`` of the full padded batch's taps bit for bit.
     """
     t = np.full(batch.x1.shape[0], float(t_value))
     x_t, _ = make_interpolant(batch.x1, batch.mask, t, noise)
@@ -146,7 +147,7 @@ def layer_representations(model, batch, t_value: float, noise: np.ndarray) -> li
                 x_t[idx, :L], t[idx], batch.cond[idx], batch.cond_tokens[idx],
                 batch.mask[idx, :L], lens[idx],
             )
-            pooled.append([tz.mean_pool_time(tap, lens[idx]).data for tap in taps])
+            pooled.append([m.data for m in taps.item_means()])
     back = np.argsort(np.concatenate([idx for idx, _ in chunks]))
     return [np.concatenate(layer)[back] for layer in zip(*pooled)]
 
@@ -210,6 +211,8 @@ def train_run(
     The auxiliary pass is skipped whenever it cannot contribute (baseline
     mode or lam == 0), which leaves the trunk's gradients, optimizer
     state, and loss trajectory identical to a run without the head.
+    Without ``dataset_hash`` the run hashes ``dataset`` itself, so every
+    run records the manifest it was trained on.
     """
     config = ExperimentConfig(
         dataset.config, encoder_a.config, encoder_b.config, flow_cfg, align_cfg, train_cfg
@@ -218,6 +221,8 @@ def train_run(
     encoder_a.check_frozen()
     encoder_b.check_frozen()
     t0 = time.monotonic()
+    if dataset_hash is None:
+        dataset_hash = manifest_hash(dataset)
 
     model = FlowModel(flow_cfg)
     aux_active = align_cfg.mode != "baseline" and align_cfg.lam > 0.0
@@ -406,6 +411,13 @@ class ExperimentConfig:
         self.flow.validate()
         self.align.validate()
         self.train.validate()
+        self.check_dimensions()
+        n_eval = min(self.train.eval_utterances, self.data.test_utterances)
+        if not 1 <= self.train.cknna_k < n_eval:
+            raise ConfigurationError(f"cknna_k={self.train.cknna_k} outside [1, {n_eval - 1}]")
+
+    def check_dimensions(self):
+        """The checks that the data, encoder-a and flow sections agree in shape."""
         if self.flow.feat_dim != self.data.feat_dim:
             raise ConfigurationError("flow feat_dim must match dataset feat_dim")
         if self.flow.cond_dim != self.encoder_a.embed_dim:
@@ -414,9 +426,6 @@ class ExperimentConfig:
             raise ConfigurationError("flow vocab must match dataset vocab")
         if self.flow.frames_per_token != self.data.frames_per_token:
             raise ConfigurationError("frames_per_token must match dataset")
-        n_eval = min(self.train.eval_utterances, self.data.test_utterances)
-        if not 1 <= self.train.cknna_k < n_eval:
-            raise ConfigurationError(f"cknna_k={self.train.cknna_k} outside [1, {n_eval - 1}]")
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":

@@ -259,60 +259,159 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(data, (x, w, b), backward)
 
 
-def residual_block(h: Tensor, w1: Tensor, b1: Tensor, z: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """h + affine(tanh(affine(h, w1, b1) + z[:, None, :]), w2, b2) as one node.
+class Segments:
+    """Rows grouped by item: item b owns ``counts[b]`` consecutive rows, in item order.
 
-    h is (B, T, H), w1 (H, K), b1 (K,), z (B, K) a per-item shift, w2
+    ``n_rows`` may exceed ``sum(counts)``: the spare rows past the items'
+    rows belong to no item, take no per-item value and are left out of
+    every segment sum. ``item`` gives the item of each of the items' rows.
+    """
+
+    def __init__(self, counts, n_rows: int | None = None):
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        if counts.size == 0 or np.any(counts < 0):
+            raise ShapeMismatchError(f"segment counts must be >= 0 for at least one item: {counts}")
+        self.counts = counts
+        self.total = int(counts.sum())
+        self.n_rows = self.total if n_rows is None else int(n_rows)
+        if self.n_rows < self.total:
+            raise ShapeMismatchError(f"{self.n_rows} rows for segments of {self.total}")
+        self.item = np.repeat(np.arange(counts.size), counts)
+        # runs of consecutive items with equal counts, each handled by one reshape
+        firsts = np.flatnonzero(np.diff(counts, prepend=-1))
+        ends = np.append(firsts[1:], counts.size)
+        starts = np.cumsum(counts) - counts
+        self._runs = [
+            (int(a), int(e), int(starts[a]), int(counts[a]))
+            for a, e in zip(firsts, ends)
+            if counts[a]
+        ]
+
+    def sum(self, rows: np.ndarray) -> np.ndarray:
+        """Per-item sums of ``rows`` (n_rows, K), (n_items, K); zero for an empty item.
+
+        With K >= 2, each item's rows are added one after the other, in row
+        order, as a sum over the frame axis of the padded (n_items, T, K)
+        array adds them.
+        """
+        out = np.zeros((self.counts.size,) + rows.shape[1:])
+        for a, e, run in self._run_views(rows):
+            np.add.reduce(run, axis=1, out=out[a:e])
+        return out
+
+    def add_per_item(self, rows: np.ndarray, values: np.ndarray):
+        """Adds ``values[b]`` (n_items, K) to each row of item b of ``rows``, in place."""
+        for a, e, run in self._run_views(rows):
+            np.add(run, values[a:e, None], out=run)
+
+    def _run_views(self, rows):
+        """(first item, end item, (items, count, K) view of their rows) of each run."""
+        for a, e, start, c in self._runs:
+            yield a, e, rows[start : start + (e - a) * c].reshape(e - a, c, *rows.shape[1:])
+
+
+def residual_block(
+    h: Tensor, w1: Tensor, b1: Tensor, z: Tensor, w2: Tensor, b2: Tensor, seg: Segments
+) -> Tensor:
+    """h + affine(tanh(affine(h, w1, b1) + z[seg.item]), w2, b2) as one node.
+
+    h is (N, H) rows grouped by ``seg``, w1 (H, K), b1 (K,), z (B, K) a
+    per-item shift added to each row of its item (spare rows take none), w2
     (K, H) and b2 (H,). The values and gradients equal those of the
-    composition of ``affine``, ``add`` and ``tanh`` bit for bit: the
-    forward runs the same operations in the same order, in place, and the
-    backward adds the two gradient paths into h as separate pieces, as the
-    composition's nodes do. Only the tanh output is kept for backward.
+    composition of ``affine``, ``embedding``, ``add`` and ``tanh`` bit for
+    bit when K >= 2: the forward runs the same operations in the same
+    order, in place, and the backward adds the two gradient paths into h as
+    separate pieces, as the composition's nodes do; z's gradient is the
+    segment sum of its rows'. Only the tanh output is kept for backward.
     """
     if (
-        h.data.ndim != 3
+        h.data.ndim != 2
         or b1.data.ndim != 1
-        or w1.shape != (h.shape[2], b1.shape[0])
-        or z.shape != (h.shape[0], b1.shape[0])
-        or w2.shape != (b1.shape[0], h.shape[2])
-        or b2.shape != (h.shape[2],)
+        or h.shape[0] != seg.n_rows
+        or w1.shape != (h.shape[1], b1.shape[0])
+        or z.shape != (seg.counts.size, b1.shape[0])
+        or w2.shape != (b1.shape[0], h.shape[1])
+        or b2.shape != (h.shape[1],)
     ):
         raise ShapeMismatchError(
             f"residual_block shapes disagree: h {h.shape}, w1 {w1.shape}, b1 {b1.shape},"
-            f" z {z.shape}, w2 {w2.shape}, b2 {b2.shape}"
+            f" z {z.shape}, w2 {w2.shape}, b2 {b2.shape}, {seg.n_rows} rows"
+            f" of {seg.counts.size} items"
         )
-    B, T, H = h.shape
-    K = b1.shape[0]
-    h2 = h.data.reshape(-1, H)
-    y = h2 @ w1.data
+    y = h.data @ w1.data
     y += b1.data
-    y3 = y.reshape(B, T, K)
-    y3 += z.data[:, None, :]
+    seg.add_per_item(y, z.data)
     np.tanh(y, out=y)
     out = y @ w2.data
     out += b2.data
-    out += h2
+    out += h.data
 
     def backward(g):
-        g2 = g.reshape(-1, H)
         if w2.requires_grad:
-            _accumulate(w2, y.T @ g2)
+            _accumulate(w2, y.T @ g)
         if b2.requires_grad:
-            _accumulate(b2, g2.sum(axis=0))
+            _accumulate(b2, g.sum(axis=0))
         if h.requires_grad:
             _accumulate(h, g)
-        gs = g2 @ w2.data.T
+        gs = g @ w2.data.T
         gs *= 1.0 - y * y
         if z.requires_grad:
-            _accumulate(z, gs.reshape(B, T, K).sum(axis=1))
+            _accumulate(z, seg.sum(gs))
         if w1.requires_grad:
-            _accumulate(w1, h2.T @ gs)
+            _accumulate(w1, h.data.T @ gs)
         if b1.requires_grad:
             _accumulate(b1, gs.sum(axis=0))
         if h.requires_grad:
-            _accumulate(h, (gs @ w1.data.T).reshape(h.shape))
+            _accumulate(h, gs @ w1.data.T)
 
-    return _make(out.reshape(B, T, H), (h, w1, b1, z, w2, b2), backward)
+    return _make(out, (h, w1, b1, z, w2, b2), backward)
+
+
+def _spare_rows_zero(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """``rows`` followed by zero rows up to ``n_rows``."""
+    if rows.shape[0] == n_rows:
+        return rows
+    return np.concatenate([rows, np.zeros((n_rows - rows.shape[0],) + rows.shape[1:])])
+
+
+def segment_mean(x: Tensor, seg: Segments) -> Tensor:
+    """Mean of each item's rows of x (N, D), (B, D); spare rows do not count.
+
+    With D >= 2 it equals ``mean_pool_time`` of the padded (B, T, D) array
+    bit for bit, values and gradient.
+    """
+    if x.data.ndim != 2 or x.shape[0] != seg.n_rows:
+        raise ShapeMismatchError(f"segment_mean expects ({seg.n_rows}, D), got {x.shape}")
+    if np.any(seg.counts < 1):
+        raise DegenerateInputError("segment_mean needs >= 1 row for every item")
+    inv = 1.0 / seg.counts.astype(np.float64)
+    data = seg.sum(x.data) * inv[:, None]
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, _spare_rows_zero((g * inv[:, None])[seg.item], seg.n_rows))
+
+    return _make(data, (x,), backward)
+
+
+def scatter_rows(x: Tensor, index, lead: tuple[int, ...]) -> Tensor:
+    """Rows of x (N, D) placed at flat positions ``index`` of a zero (*lead, D) array.
+
+    Rows of x past ``len(index)`` are dropped; their gradient is zero.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    if x.data.ndim != 2 or index.shape[0] > x.shape[0]:
+        raise ShapeMismatchError(f"scatter_rows: {index.shape[0]} positions for rows {x.shape}")
+    D = x.shape[1]
+    n = index.shape[0]
+    flat = np.zeros((math.prod(lead), D))
+    flat[index] = x.data[:n]
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, _spare_rows_zero(g.reshape(-1, D)[index], x.shape[0]))
+
+    return _make(flat.reshape(*lead, D), (x,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -186,6 +186,46 @@ class TestGradients:
         assert check_gradients(f, taps[0]) < 1e-6
 
 
+class TestModelTaps:
+    """The model's ``Taps`` pool from their rows as the padded taps would."""
+
+    @staticmethod
+    def forward():
+        from flowalign.flow import FlowConfig, FlowModel
+
+        model = FlowModel(FlowConfig(feat_dim=3, hidden=TAP_DIM, n_blocks=N_LAYERS, vocab=5,
+                                     token_embed_dim=3, cond_dim=4, time_embed_dim=8,
+                                     frames_per_token=2))
+        rng = np.random.default_rng(6)
+        B, T = 3, 6
+        tokens = rng.integers(0, 5, size=(B, 3))
+        mask = (rng.random((B, T)) < 0.5).astype(np.float64)
+        valid = np.array([6, 2, 5])
+        _, taps = model.forward(rng.normal(size=(B, T, 3)), rng.uniform(size=B),
+                                rng.normal(size=(B, 4)), tokens, mask, valid)
+        return model, taps, valid
+
+    def test_loss_and_gradients_equal_the_padded_list(self):
+        head = make_head()
+        _, _, e_sa, t = make_inputs()
+        grads = []
+        for padded in (False, True):
+            model, taps, valid = self.forward()
+            loss, _ = head.loss(list(taps) if padded else taps, valid, e_sa, t)
+            loss.backward()
+            grads.append([loss.data] + [p.grad for p in model.params.values()])
+            for p in head.params.values():
+                p.grad = None
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
+
+    def test_valid_len_must_match_the_taps(self):
+        _, taps, valid = self.forward()
+        _, _, e_sa, t = make_inputs()
+        with pytest.raises(ShapeMismatchError):
+            make_head().loss(taps, valid - 1, e_sa, t)
+
+
 class TestEntropyAscent:
     def test_bonus_step_spreads_the_gate(self):
         """A small gradient step on the entropy bonus alone must increase

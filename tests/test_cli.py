@@ -11,7 +11,7 @@ from flowalign.cli import build_parser, main
 from flowalign.encoder import SpeakerEncoder
 from flowalign.errors import ConfigurationError, IntegrityError
 from flowalign.flow import FlowConfig, FlowModel
-from flowalign.harness import ExperimentConfig, Workspace
+from flowalign.harness import ExperimentConfig, Workspace, train_run
 from flowalign.synth import read_manifest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -268,6 +268,50 @@ class TestLifecycle:
         # the encoders match --data; the run itself was trained on space["data"]
         argv = ["analyze", "--run", space["run"], "--data", other["data"], *other["encoders"]]
         with pytest.raises(IntegrityError, match="run .* was trained on dataset"):
+            main(argv)
+
+    def test_library_run_records_its_manifest(self, space, other, tmp_path):
+        # train_run called without a dataset_hash hashes the dataset it is given
+        ds, ds_hash = read_manifest(space["data"])
+        exp = ExperimentConfig.load(space["config"])
+        run = tmp_path / "run_lib"
+        train_run(ds, SpeakerEncoder.load(space["enc_a"]), SpeakerEncoder.load(space["enc_b"]),
+                  exp.flow, exp.align, exp.train, out_dir=run)
+        assert json.loads((run / "report.json").read_text())["dataset_hash"] == ds_hash
+        argv = ["analyze", "--run", str(run), "--data", other["data"], *other["encoders"]]
+        with pytest.raises(IntegrityError, match="run .* was trained on dataset"):
+            main(argv)
+
+    def test_analyze_refuses_a_run_that_records_no_dataset(self, space, tmp_path):
+        rep = json.loads((Path(space["run"]) / "report.json").read_text())
+        rep["dataset_hash"] = None
+        (tmp_path / "report.json").write_text(json.dumps(rep))
+        argv = ["analyze", "--run", str(tmp_path), "--data", space["data"], "--encoder-a",
+                space["enc_a"], "--encoder-b", space["enc_b"]]
+        with pytest.raises(IntegrityError, match="trained on dataset None"):
+            main(argv)
+
+    def test_sample_checks_dimensions_only(self, space, tmp_path):
+        # 8 test utterances are too few for the default train section's CKNNA k,
+        # which sampling does not use; training still refuses the config
+        cfg = json.loads(Path(space["config"]).read_text())
+        cfg["data"]["test_utterances"] = 8
+        del cfg["train"]
+        cfg_path = str(tmp_path / "exp8.json")
+        Path(cfg_path).write_text(json.dumps(cfg))
+        data, enc = str(tmp_path / "data"), str(tmp_path / "enc_a.json")
+        assert main(["gen-data", "--out", data, "--config", cfg_path]) == 0
+        assert main(["train-encoder", "--data", data, "--out", enc, "--config", cfg_path]) == 0
+        model = str(tmp_path / "model.json")
+        FlowModel(FlowConfig(**cfg["flow"])).save(model)
+        out = tmp_path / "samples.json"
+        argv = ["sample", "--model", model, "--data", data, "--encoder", enc, "--out", str(out),
+                "--count", "8", "--ode-steps", "2"]
+        assert main(argv) == 0
+        assert len(json.loads(out.read_text())["samples"]) == 8
+        argv = ["train", "--data", data, "--encoder-a", enc, "--encoder-b", enc,
+                "--config", cfg_path, "--out", str(tmp_path / "run")]
+        with pytest.raises(ConfigurationError, match="cknna_k=10"):
             main(argv)
 
     def test_train_without_data_checks_encoders(self, space, other):

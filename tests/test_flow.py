@@ -1,5 +1,6 @@
 """Flow trunk: gradients through the full stack, interpolant, sampler."""
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from flowalign.flow import (
     _CHUNK,
     FlowConfig,
     FlowModel,
+    Taps,
     cfm_loss,
     make_interpolant,
     sample,
@@ -48,6 +50,33 @@ def tiny_inputs(seed=0, B=2, T=6):
     return x_t, t, cond, cond_tokens, mask, valid_len
 
 
+def padded_forward(model, x_t, t, cond, cond_tokens, mask, valid_len):
+    """The trunk on the whole padded (B, T) batch, composed of generic ops.
+
+    The reference for ``FlowModel.forward``, which runs on the valid frames
+    only: (v, taps) with every frame computed, padding included.
+    """
+    p, cfg = model.params, model.config
+    x_t = np.asarray(x_t, dtype=np.float64)
+    B, T, _ = x_t.shape
+    xin = Tensor(np.concatenate([x_t, np.asarray(mask, dtype=np.float64)[..., None]], axis=-1))
+    h = tz.affine(xin, p["in_w"], p["in_b"])
+    ids = model._frame_token_ids(np.asarray(cond_tokens), T, valid_len)
+    live = (ids != PAD_TOKEN).astype(np.float64)[..., None]
+    tok = tz.embedding(p["tok_table"], np.maximum(ids, 0))
+    h = h + tz.affine(tok * Tensor(live), p["tok_w"], Tensor(np.zeros(cfg.hidden)))
+    tfeat = Tensor(sinusoidal_features(t, cfg.time_embed_dim))
+    et = tz.affine(tz.tanh(tz.affine(tfeat, p["time_w1"], p["time_b1"])), p["time_w2"], p["time_b2"])
+    ec = tz.affine(Tensor(np.asarray(cond, dtype=np.float64)), p["cond_w"], p["cond_b"])
+    taps = []
+    for i in range(cfg.n_blocks):
+        z = (et @ p[f"blk{i}_ut"]) + (ec @ p[f"blk{i}_uc"])
+        pre = tz.affine(h, p[f"blk{i}_w1"], p[f"blk{i}_b1"]) + z.reshape(B, 1, cfg.hidden)
+        h = h + tz.affine(tz.tanh(pre), p[f"blk{i}_w2"], p[f"blk{i}_b2"])
+        taps.append(h)
+    return tz.affine(h, p["out_w"], p["out_b"]), taps
+
+
 class SimpleBatch:
     def __init__(self, x1, cond, cond_tokens, mask, valid_len):
         self.x1 = x1
@@ -64,8 +93,10 @@ class TestForward:
         v, taps = model.forward(x_t, t, cond, tokens, mask, lens)
         assert v.shape == x_t.shape
         assert len(taps) == TINY.n_blocks == model.n_taps
+        assert isinstance(taps, Taps)
         for tap in taps:
             assert tap.shape == (2, 6, TINY.hidden)
+        assert [m.shape for m in taps.item_means()] == [(2, TINY.hidden)] * TINY.n_blocks
 
     def test_frame_token_alignment(self):
         model = FlowModel(TINY)
@@ -276,7 +307,7 @@ def reference_sample(model, batch, n_steps, seed):
     with tz.no_grad():
         for k in range(n_steps):
             t = np.full(B, ts[k])
-            v, _ = model.forward(x, t, batch.cond, batch.cond_tokens, mask, batch.valid_len)
+            v, _ = padded_forward(model, x, t, batch.cond, batch.cond_tokens, mask, batch.valid_len)
             x = x + (ts[k + 1] - ts[k]) * v.data * valid
             x = m * x + (1.0 - m) * x1 * valid
     return x
@@ -315,6 +346,46 @@ class ForwardOnly:
     def __init__(self, model):
         self.forward = model.forward
         self.config = model.config
+
+
+class TestPackedForward:
+    """``forward`` runs on the valid frames only; each frame's values must not change."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        B=st.sampled_from([1, 1, 2, 3, 7]),
+        T_max=st.sampled_from([1, 2, 5, 19]),
+        fpt=st.sampled_from([1, 2, 4]),
+        extra=st.integers(0, 2),
+        grad=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_padded_forward_on_valid_frames(self, B, T_max, fpt, extra, grad, seed):
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, B, fpt, T_max=T_max, extra=extra)
+        model = FlowModel(replace(TINY, frames_per_token=fpt, seed=seed % 7))
+        t = rng.uniform(size=B)
+        args = (batch.x1, t, batch.cond, batch.cond_tokens, batch.mask, batch.valid_len)
+        with tz.no_grad() if not grad else nullcontext():
+            v, taps = model.forward(*args)
+            v_ref, taps_ref = padded_forward(model, *args)
+        valid = np.arange(batch.x1.shape[1])[None, :] < batch.valid_len[:, None]
+        assert np.array_equal(v.data[valid], v_ref.data[valid])
+        assert np.all(v.data[~valid] == 0.0)
+        assert len(taps) == len(taps_ref)
+        for tap, ref, mean in zip(taps, taps_ref, taps.item_means()):
+            assert np.array_equal(tap.data[valid], ref.data[valid])
+            assert np.all(tap.data[~valid] == 0.0)
+            assert np.array_equal(mean.data, tz.mean_pool_time(ref, batch.valid_len).data)
+
+    def test_one_frame_alone_equals_the_padded_batch(self):
+        # one valid frame of a (1, 3) batch: the padded product has three rows
+        rng = np.random.default_rng(3)
+        batch = random_batch(rng, 1, TINY.frames_per_token, T_max=1, extra=2)
+        model = FlowModel(TINY)
+        args = (batch.x1, np.array([0.4]), batch.cond, batch.cond_tokens, batch.mask, batch.valid_len)
+        v, _ = model.forward(*args)
+        assert np.array_equal(v.data[0, 0], padded_forward(model, *args)[0].data[0, 0])
 
 
 class TestWindowedSampler:
@@ -361,8 +432,8 @@ class TestChunkedRepresentations:
         t = np.full(batch.x1.shape[0], 0.3)
         x_t, _ = make_interpolant(batch.x1, batch.mask, t, noise)
         with tz.no_grad():
-            _, taps = model.forward(
-                x_t, t, batch.cond, batch.cond_tokens, batch.mask, batch.valid_len
+            _, taps = padded_forward(
+                model, x_t, t, batch.cond, batch.cond_tokens, batch.mask, batch.valid_len
             )
             want = [tz.mean_pool_time(tap, batch.valid_len).data for tap in taps]
         got = layer_representations(model, batch, 0.3, noise)

@@ -291,91 +291,106 @@ class TestOpSemantics:
             Tensor(np.zeros(3)) @ Tensor(np.zeros((3, 2)))
 
 
-def generic_block(h, w1, b1, z, w2, b2):
-    """The residual block as a composition of primitives, for reference."""
-    B, _, _ = h.shape
-    return h + tz.affine(
-        tz.tanh(tz.affine(h, w1, b1) + z.reshape(B, 1, z.shape[1])), w2, b2
-    )
+def generic_block(h, w1, b1, z, w2, b2, seg):
+    """The residual block on rows as a composition of primitives, for reference."""
+    return h + tz.affine(tz.tanh(tz.affine(h, w1, b1) + tz.embedding(z, seg.item)), w2, b2)
 
 
 class TestResidualBlock:
-    """The fused node against the composition it replaces."""
+    """The fused node on (N, H) rows against the composition it replaces."""
 
     @staticmethod
     def arrays(B, T, H=6, K=5, seed=0):
+        """Rows of B items of 1 to T frames each, and the block's other inputs."""
         rng = np.random.default_rng(seed)
-        shapes = [(B, T, H), (H, K), (K,), (B, K), (K, H), (H,)]
-        return [rng.normal(size=s) for s in shapes], rng
+        seg = tz.Segments(rng.integers(1, T + 1, size=B))
+        shapes = [(seg.total, H), (H, K), (K,), (B, K), (K, H), (H,)]
+        return [rng.normal(size=s) for s in shapes], seg, rng
 
     @staticmethod
-    def step(block, arrays, rng, shared):
+    def step(block, arrays, seg, rng, shared):
         """Output and every leaf gradient of a weighted-sum loss through ``block``.
 
         With ``shared`` the block's input adds an affine layer to ``h`` and
-        is also read by a frame pool, and two blocks are chained, as the
+        is also read by a segment mean, and two blocks are chained, as the
         trunk's taps are read by the next block and by the alignment head.
         """
-        B, T, H = arrays[0].shape
+        N, H = arrays[0].shape
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         h, w1, b1, z, w2, b2 = leaves
-        c = rng.normal(size=(B, T, H))
+        c = rng.normal(size=(N, H))
         if not shared:
-            out = block(h, w1, b1, z, w2, b2)
+            out = block(h, w1, b1, z, w2, b2, seg)
             loss = (out * Tensor(c)).sum()
         else:
-            x = Tensor(rng.normal(size=(B, T, 3)), requires_grad=True)
+            x = Tensor(rng.normal(size=(N, 3)), requires_grad=True)
             w0 = Tensor(rng.normal(size=(3, H)), requires_grad=True)
             b0 = Tensor(rng.normal(size=H), requires_grad=True)
             leaves += [x, w0, b0]
-            lens = rng.integers(1, T + 1, size=B)
             h_in = h + tz.affine(x, w0, b0)
-            mid = block(h_in, w1, b1, z, w2, b2)
-            out = block(mid, w1, b1, z, w2, b2)
-            d = Tensor(rng.normal(size=(B, H)))
-            loss = (out * Tensor(c)).sum() + (tz.mean_pool_time(h_in, lens) * d).sum()
-            loss = loss + (tz.mean_pool_time(mid, lens) * d).sum()
+            mid = block(h_in, w1, b1, z, w2, b2, seg)
+            out = block(mid, w1, b1, z, w2, b2, seg)
+            d = Tensor(rng.normal(size=(seg.counts.size, H)))
+            loss = (out * Tensor(c)).sum() + (tz.segment_mean(h_in, seg) * d).sum()
+            loss = loss + (tz.segment_mean(mid, seg) * d).sum()
         loss.backward()
         return [out.data] + [leaf.grad for leaf in leaves]
 
     @pytest.mark.parametrize("B, T", [(1, 1), (4, 1), (1, 5), (3, 7), (16, 24)])
     @pytest.mark.parametrize("shared", [False, True])
     def test_equals_composition_bitwise(self, B, T, shared):
-        arrays, _ = self.arrays(B, T, seed=B * 31 + T)
-        want = self.step(generic_block, arrays, np.random.default_rng(1), shared)
-        got = self.step(tz.residual_block, arrays, np.random.default_rng(1), shared)
+        arrays, seg, _ = self.arrays(B, T, seed=B * 31 + T)
+        want = self.step(generic_block, arrays, seg, np.random.default_rng(1), shared)
+        got = self.step(tz.residual_block, arrays, seg, np.random.default_rng(1), shared)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g is not None and np.array_equal(g, w)
 
     def test_no_grad_output_equals_composition(self):
-        arrays, _ = self.arrays(5, 9)
+        arrays, seg, _ = self.arrays(5, 9)
         with no_grad():
-            got = tz.residual_block(*[Tensor(a) for a in arrays])
-            want = generic_block(*[Tensor(a) for a in arrays])
+            got = tz.residual_block(*[Tensor(a) for a in arrays], seg)
+            want = generic_block(*[Tensor(a) for a in arrays], seg)
         assert got._backward is None
         assert np.array_equal(got.data, want.data)
 
     @pytest.mark.parametrize("which", range(6))
     def test_gradient_of_each_input(self, which):
-        arrays, rng = self.arrays(2, 3, H=4, K=3, seed=which)
-        c = Tensor(rng.normal(size=(2, 3, 4)))
-        fixed = [Tensor(a) for a in arrays]
+        # uneven segments, an empty one among them, and a spare row past them
+        rng = np.random.default_rng(which)
+        seg = tz.Segments([3, 0, 1, 2], n_rows=7)
+        shapes = [(7, 4), (4, 3), (3,), (4, 3), (3, 4), (4,)]
+        fixed = [Tensor(rng.normal(size=s)) for s in shapes]
+        c = Tensor(rng.normal(size=(7, 4)))
 
         def f(p):
             inputs = list(fixed)
             inputs[which] = p
-            return (tz.residual_block(*inputs) * c).sum()
+            return (tz.residual_block(*inputs, seg) * c).sum()
 
         assert check_gradients(f, fixed[which]) < 1e-6
 
+    def test_spare_rows_take_no_shift(self):
+        arrays, seg, _ = self.arrays(3, 4)
+        h = np.concatenate([arrays[0], arrays[0][:2]])
+        spare = tz.Segments(seg.counts, n_rows=seg.total + 2)
+        with no_grad():
+            got = tz.residual_block(Tensor(h), *[Tensor(a) for a in arrays[1:]], spare).data
+            want = tz.residual_block(*[Tensor(a) for a in arrays], seg).data
+            zero = [Tensor(a) for a in arrays[1:]]
+            zero[2] = Tensor(np.zeros((1, arrays[3].shape[1])))
+            unshifted = tz.residual_block(Tensor(h[-2:]), *zero, tz.Segments([2])).data
+        assert np.array_equal(got[: seg.total], want)
+        assert np.array_equal(got[seg.total :], unshifted)
+
     def test_bad_shapes_raise(self):
-        arrays, _ = self.arrays(2, 3, H=4, K=3)
+        arrays, seg, _ = self.arrays(2, 3, H=4, K=3)
+        N = seg.total
         bad = {
-            0: np.zeros((6, 4)),  # h not (B, T, H)
+            0: np.zeros((2, N, 4)),  # h not (N, H)
             1: np.zeros((5, 3)),  # w1 rows != H
             2: np.zeros((3, 1)),  # b1 not a vector
-            3: np.zeros((3, 3)),  # z rows != B
+            3: np.zeros((3, 3)),  # z rows != number of items
             4: np.zeros((3, 5)),  # w2 columns != H
             5: np.zeros(3),  # b2 length != H
         }
@@ -383,18 +398,28 @@ class TestResidualBlock:
             inputs = [Tensor(a) for a in arrays]
             inputs[i] = Tensor(value)
             with pytest.raises(ShapeMismatchError):
-                tz.residual_block(*inputs)
+                tz.residual_block(*inputs, seg)
+        inputs = [Tensor(a) for a in arrays]
+        for other in (tz.Segments(seg.counts + 1), tz.Segments(seg.counts, n_rows=N + 1)):
+            with pytest.raises(ShapeMismatchError):
+                tz.residual_block(*inputs, other)  # segments cover other rows than h
+        with pytest.raises(ShapeMismatchError):
+            tz.Segments([2, -1])
+        with pytest.raises(ShapeMismatchError):
+            tz.Segments([])
+        with pytest.raises(ShapeMismatchError):
+            tz.Segments([2, 3], n_rows=4)
 
-    def test_training_step_memory(self):
-        """One training step at the training shape keeps each block's graph
-        small: forward, head loss and backward peak under 41 MiB of traced
-        allocations (82 MiB with a graph of generic nodes per block)."""
+    @staticmethod
+    def training_step_peak(lens, T=96):
+        """Traced peak of one training step of the default model at B=16: forward,
+        CFM and head loss, backward; each item masks the second half of its frames."""
         import tracemalloc
 
         from flowalign.alignment import AlignConfig, AlignmentHead
         from flowalign.flow import FlowConfig, FlowModel, cfm_loss
 
-        B, T = 16, 96
+        B = len(lens)
         cfg = FlowConfig()
         model = FlowModel(cfg)
         head = AlignmentHead(AlignConfig(), model.n_taps, cfg.hidden, cfg.cond_dim)
@@ -404,9 +429,8 @@ class TestResidualBlock:
         t = rng.uniform(size=B)
         cond = rng.normal(size=(B, cfg.cond_dim))
         tokens = rng.integers(0, cfg.vocab, size=(B, T // cfg.frames_per_token))
-        mask = np.zeros((B, T))
-        mask[:, T // 2 :] = 1.0
-        lens = np.full(B, T)
+        frames = np.arange(T)[None, :]
+        mask = ((frames >= lens[:, None] // 2) & (frames < lens[:, None])).astype(np.float64)
 
         tracemalloc.start()
         try:
@@ -418,7 +442,20 @@ class TestResidualBlock:
         finally:
             tracemalloc.stop()
         assert model.params["blk0_w1"].grad is not None
+        return peak
+
+    def test_training_step_memory(self):
+        """One training step at the training shape keeps each block's graph
+        small: forward, head loss and backward peak under 41 MiB of traced
+        allocations (82 MiB with a graph of generic nodes per block)."""
+        peak = self.training_step_peak(np.full(16, 96))
         assert peak < 41 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    def test_padded_training_step_memory(self):
+        """With items of 32 to 96 frames, as training batches have, the step
+        runs on the valid frames only and peaks well under the full batch's."""
+        peak = self.training_step_peak(np.random.default_rng(3).integers(32, 97, size=16))
+        assert peak < 32 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestCheckGradients:
@@ -514,3 +551,65 @@ class TestBroadcastProperties:
             np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12)
         assert check_gradients(lambda p: (f(p, Tensor(b0)) * w).sum(), Tensor(a0)) < 1e-6
         assert check_gradients(lambda p: (f(Tensor(a0), p) * w).sum(), Tensor(b0)) < 1e-6
+
+
+@st.composite
+def padded_rows(draw):
+    """A padded (B, T, D) array with 1..T valid frames per item, D >= 2, and
+    anything in the padding."""
+    lens = np.array(draw(st.lists(st.integers(1, 12), min_size=1, max_size=6)))
+    T = int(lens.max()) + draw(st.integers(0, 3))
+    D = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 3, size=(len(lens), T, D))
+    return rng.normal(size=(len(lens), T, D)) * scale, lens
+
+
+class TestSegmentProperties:
+    """``segment_mean`` and ``scatter_rows`` on rows against the padded ops."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=padded_rows())
+    def test_segment_mean_equals_padded_mean_pool(self, case):
+        x, lens = case
+        valid = np.arange(x.shape[1])[None, :] < lens[:, None]
+        g = np.random.default_rng(lens.sum()).normal(size=(len(lens), x.shape[2]))
+        padded = Tensor(x, requires_grad=True)
+        rows = Tensor(x[valid], requires_grad=True)
+        want = tz.mean_pool_time(padded, lens)
+        got = tz.segment_mean(rows, tz.Segments(lens))
+        assert np.array_equal(got.data, want.data)
+        (want * Tensor(g)).sum().backward()
+        (got * Tensor(g)).sum().backward()
+        assert np.array_equal(rows.grad, padded.grad[valid])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=padded_rows())
+    def test_scatter_rows_inverts_the_gather(self, case):
+        x, lens = case
+        valid = np.arange(x.shape[1])[None, :] < lens[:, None]
+        rows = Tensor(x[valid], requires_grad=True)
+        out = tz.scatter_rows(rows, np.flatnonzero(valid), valid.shape)
+        assert np.array_equal(out.data[valid], x[valid])
+        assert np.all(out.data[~valid] == 0.0)
+        (out * Tensor(x)).sum().backward()
+        assert np.array_equal(rows.grad, x[valid])
+
+    def test_gradients_with_spare_rows(self):
+        rng = np.random.default_rng(4)
+        seg = tz.Segments([2, 3, 1], n_rows=8)
+        x = Tensor(rng.normal(size=(8, 3)))
+        w = Tensor(rng.normal(size=(3, 3)))
+        assert check_gradients(lambda p: (tz.segment_mean(p, seg) * w).sum(), x) < 1e-6
+        c = Tensor(rng.normal(size=(2, 4, 3)))
+        index = [0, 1, 4, 5, 6, 7]
+        assert check_gradients(lambda p: (tz.scatter_rows(p, index, (2, 4)) * c).sum(), x) < 1e-6
+
+    def test_bad_inputs_raise(self):
+        seg = tz.Segments([2, 0, 1])
+        with pytest.raises(DegenerateInputError):
+            tz.segment_mean(Tensor(np.zeros((3, 2))), seg)  # an item without rows
+        with pytest.raises(ShapeMismatchError):
+            tz.segment_mean(Tensor(np.zeros((4, 2))), tz.Segments([2, 1]))
+        with pytest.raises(ShapeMismatchError):
+            tz.scatter_rows(Tensor(np.zeros((2, 2))), [0, 1, 2], (1, 3))
