@@ -140,6 +140,31 @@ class FlowModel:
         are gathered once into rows, item after item, and each row's value
         equals that frame's in a run over the whole padded batch bit for bit.
         """
+        h, seg, frames, lead, et, ec = self._rows(x_t, t, cond, cond_tokens, mask, valid_len)
+        taps = list(self._blocks(h, et, ec, seg))
+        p = self.params
+        v = tz.scatter_rows(tz.affine(taps[-1], p["out_w"], p["out_b"]), frames, lead)
+        return v, Taps(taps, seg, frames, lead)
+
+    def pooled_taps(self, x_t, t, cond, cond_tokens, mask, valid_len) -> list:
+        """Each block's (B, hidden) mean over its items' frames, without the velocity.
+
+        Takes ``forward``'s arguments and equals its ``taps.item_means()``
+        bit for bit, but pools each block's rows as soon as the block
+        returns and drops them, so under ``no_grad`` at most two blocks'
+        rows are alive at once.
+        """
+        h, seg, _, _, et, ec = self._rows(x_t, t, cond, cond_tokens, mask, valid_len)
+        return [tz.segment_mean(h, seg) for h in self._blocks(h, et, ec, seg)]
+
+    def _rows(self, x_t, t, cond, cond_tokens, mask, valid_len) -> tuple:
+        """The trunk's input rows and what every block needs.
+
+        Returns (h, seg, frames, (B, T), et, ec): h the (N, hidden) input
+        rows of the valid frames, item after item, grouped by ``seg``;
+        ``frames`` their flat positions in the padded (B, T) batch; et and
+        ec the (B, hidden) time and identity embeddings.
+        """
         x_t = np.asarray(x_t, dtype=np.float64)
         B, T, D = x_t.shape
         if D != self.config.feat_dim:
@@ -173,18 +198,18 @@ class FlowModel:
             tz.tanh(tz.affine(tfeat, p["time_w1"], p["time_b1"])), p["time_w2"], p["time_b2"]
         )
         ec = tz.affine(Tensor(np.asarray(cond, dtype=np.float64)), p["cond_w"], p["cond_b"])
+        return h, seg, frames, (B, T), et, ec
 
-        taps = []
+    def _blocks(self, h, et, ec, seg):
+        """Yields the rows after each block in turn, keeping none of them."""
+        p = self.params
         for i in range(self.config.n_blocks):
             name = f"blk{i}"
             z = (et @ p[f"{name}_ut"]) + (ec @ p[f"{name}_uc"])
             h = tz.residual_block(
                 h, p[f"{name}_w1"], p[f"{name}_b1"], z, p[f"{name}_w2"], p[f"{name}_b2"], seg
             )
-            taps.append(h)
-
-        v = tz.scatter_rows(tz.affine(h, p["out_w"], p["out_b"]), frames, (B, T))
-        return v, Taps(taps, seg, frames, (B, T))
+            yield h
 
     def save(self, path) -> str:
         meta = {"kind": "flow-model", "config": asdict(self.config)}

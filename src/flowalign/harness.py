@@ -132,22 +132,25 @@ def layer_representations(model, batch, t_value: float, noise: np.ndarray) -> li
 
     The probe state is the training interpolant built from a fixed noise
     draw, so the representation depends only on the parameters. The trunk
-    is per-frame, so the items run in chunks, and each tap is pooled from
-    its rows by ``Taps.item_means`` without a padded tap; the result
-    equals ``mean_pool_time`` of the full padded batch's taps bit for bit.
+    is per-frame, so the items run in chunks: each chunk builds its own
+    interpolant from its slice of the batch and the noise, and
+    ``FlowModel.pooled_taps`` pools each block's rows per item as the
+    block returns, so neither a padded tap nor all twelve blocks' rows are
+    ever held. The interpolant is elementwise, and the result equals
+    ``mean_pool_time`` of the full padded batch's taps bit for bit.
     """
     t = np.full(batch.x1.shape[0], float(t_value))
-    x_t, _ = make_interpolant(batch.x1, batch.mask, t, noise)
     lens = np.asarray(batch.valid_len)
-    chunks = _length_chunks(lens, x_t.shape[1])
+    chunks = _length_chunks(lens, batch.x1.shape[1])
     pooled = []
     with tz.no_grad():
         for idx, L in chunks:
-            _, taps = model.forward(
-                x_t[idx, :L], t[idx], batch.cond[idx], batch.cond_tokens[idx],
-                batch.mask[idx, :L], lens[idx],
+            mask = batch.mask[idx, :L]
+            x_t, _ = make_interpolant(batch.x1[idx, :L], mask, t[idx], noise[idx, :L])
+            means = model.pooled_taps(
+                x_t, t[idx], batch.cond[idx], batch.cond_tokens[idx], mask, lens[idx]
             )
-            pooled.append([m.data for m in taps.item_means()])
+            pooled.append([m.data for m in means])
     back = np.argsort(np.concatenate([idx for idx, _ in chunks]))
     return [np.concatenate(layer)[back] for layer in zip(*pooled)]
 

@@ -57,7 +57,11 @@ class Tensor:
         requires_grad: whether backward() should populate ``grad``; kept as
             given under ``no_grad``, which only stops operations recording.
         grad: accumulated gradient, same shape as ``data``; None until a
-            backward pass touches this tensor.
+            backward pass touches this tensor. Only leaves (tensors no
+            operation made) keep it: a node an operation made drops its
+            ``grad`` once the pass has handed it to the node's inputs, so
+            a second backward over the same graph adds the same amount to
+            the leaves again.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -96,6 +100,8 @@ class Tensor:
 
         Visits each node exactly once via an iterative topological sort,
         so shared subexpressions contribute to their parents once per use.
+        Each non-leaf node's gradient is released as soon as its inputs
+        have theirs.
         """
         if self.data.size != 1:
             raise ShapeMismatchError(
@@ -120,6 +126,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operators -----------------------------------------------------------
 
@@ -452,7 +459,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
+    """Mean over ``axis``: None for all axes, an int or a tuple of ints."""
+    axes = range(a.data.ndim) if axis is None else np.atleast_1d(axis)
+    n = math.prod(a.shape[i] for i in axes)
     return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
 
 

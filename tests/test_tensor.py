@@ -62,6 +62,18 @@ class TestBackwardMechanics:
         y.backward()
         np.testing.assert_array_equal(x.grad, [2.0])  # only the live factor
 
+    def test_second_backward_adds_the_same_leaf_gradients(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([[0.5, -1.0], [2.0, 0.25]], requires_grad=True)
+        u = tz.tanh(x.reshape(1, 2) @ w)
+        z = (u * u + u).sum()
+        z.backward()
+        first = x.grad.copy(), w.grad.copy()
+        z.backward()
+        assert np.array_equal(x.grad, 2.0 * first[0])
+        assert np.array_equal(w.grad, 2.0 * first[1])
+        assert u.grad is None and z.grad is None  # non-leaf gradients are not kept
+
 
 class TestPrimitiveGradients:
     """Every primitive against central finite differences."""
@@ -551,6 +563,43 @@ class TestBroadcastProperties:
             np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12)
         assert check_gradients(lambda p: (f(p, Tensor(b0)) * w).sum(), Tensor(a0)) < 1e-6
         assert check_gradients(lambda p: (f(Tensor(a0), p) * w).sum(), Tensor(b0)) < 1e-6
+
+
+@st.composite
+def reductions(draw):
+    """A shape of 0 to 4 axes, and an ``axis`` for it: None, one int (negative
+    ones too) or a tuple of distinct axes; and ``keepdims``."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), max_size=4)))
+    nd = len(shape)
+    one = st.integers(-nd, nd - 1) if nd else st.nothing()
+    several = st.lists(one, unique_by=lambda i: i % nd, max_size=nd).map(tuple)
+    axis = draw(st.none() | one | several)
+    return shape, axis, draw(st.booleans())
+
+
+class TestReductionProperties:
+    """``sum`` and ``mean`` against numpy: values, and gradients as the
+    upstream gradient broadcast back over the reduced axes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=reductions(), op=st.sampled_from(["sum", "mean"]))
+    def test_values_and_gradients(self, case, op):
+        shape, axis, keepdims = case
+        rng = np.random.default_rng(len(shape))
+        x0 = rng.normal(size=shape)
+        x = Tensor(x0, requires_grad=True)
+        out = getattr(x, op)(axis=axis, keepdims=keepdims)
+        want = getattr(np, op)(x0, axis=axis, keepdims=keepdims)
+        assert out.shape == np.shape(want)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+
+        up = rng.normal(size=np.shape(want))
+        (out * Tensor(up)).sum().backward()
+        n = x0.size // np.size(want)
+        kept = up if keepdims or axis is None else np.expand_dims(up, axis)
+        grad = np.broadcast_to(kept, shape) * (1.0 / n if op == "mean" else 1.0)
+        assert x.grad.shape == shape
+        np.testing.assert_allclose(x.grad, grad, rtol=1e-12, atol=1e-12)
 
 
 @st.composite
