@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, asdict
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -50,25 +52,45 @@ def sinusoidal_features(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 class Taps(Sequence):
-    """The hidden state after every block, kept as (N, hidden) rows of the valid frames.
+    """The hidden state after every block, as (N, hidden) rows of the valid frames.
 
     ``taps[i]`` builds block i's padded (B, T, hidden) Tensor, zero on
     padding, at each access; ``item_means()`` pools every block's rows per
-    item without building it.
+    item without building it. Under grad the rows are nodes of the graph,
+    which keeps them anyway, and so are kept here too. Without grad only
+    the trunk's input rows are kept, and each read reruns the blocks on
+    them, dropping each block's rows once the next block has run: the same
+    operations on the same arrays give the same bits, but from the
+    parameters as they stand when read, not as they stood at the forward.
     """
 
-    def __init__(self, rows: list, seg: tz.Segments, frames: np.ndarray, lead: tuple):
-        self.rows, self.seg, self.frames, self.lead = rows, seg, frames, lead
+    def __init__(self, model: "FlowModel", h: Tensor, et: Tensor, ec: Tensor, seg, frames, lead):
+        self.seg, self.frames, self.lead = seg, frames, lead
+        self._n = model.n_taps
+        self._blocks = partial(model._blocks, h, et, ec, seg)
+        self._kept = list(self._blocks()) if h.requires_grad else None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._n
+
+    def _each(self):
+        """Each block's (N, hidden) rows in turn."""
+        return iter(self._kept) if self._kept is not None else self._blocks()
+
+    def rows(self, i: int) -> Tensor:
+        """Block i's (N, hidden) rows."""
+        i = range(self._n)[i]  # IndexError past the end ends Sequence iteration
+        return next(islice(self._each(), i, None))
 
     def __getitem__(self, i) -> Tensor:
-        return tz.scatter_rows(self.rows[i], self.frames, self.lead)
+        return tz.scatter_rows(self.rows(i), self.frames, self.lead)
+
+    def __iter__(self):
+        return (tz.scatter_rows(r, self.frames, self.lead) for r in self._each())
 
     def item_means(self) -> list:
         """Each block's (B, hidden) mean over its items' frames, with gradient."""
-        return [tz.segment_mean(r, self.seg) for r in self.rows]
+        return [tz.segment_mean(r, self.seg) for r in self._each()]
 
 
 class FlowModel:
@@ -139,23 +161,24 @@ class FlowModel:
         The trunk is per-frame, so it runs on the valid frames only: they
         are gathered once into rows, item after item, and each row's value
         equals that frame's in a run over the whole padded batch bit for bit.
+        Under ``no_grad`` each block's rows are dropped once the next block
+        has run, and the taps rerun the blocks when read (``Taps``).
+        """
+        taps = self.taps(x_t, t, cond, cond_tokens, mask, valid_len)
+        p = self.params
+        v = tz.affine(taps.rows(-1), p["out_w"], p["out_b"])
+        return tz.scatter_rows(v, taps.frames, taps.lead), taps
+
+    def taps(self, x_t, t, cond, cond_tokens, mask, valid_len) -> Taps:
+        """``forward``'s taps without the velocity.
+
+        Under ``no_grad`` no block has run yet when this returns: reading
+        the taps runs them, so ``taps(...).item_means()`` pools each
+        block's rows as the block returns and at most two blocks' rows are
+        alive at once.
         """
         h, seg, frames, lead, et, ec = self._rows(x_t, t, cond, cond_tokens, mask, valid_len)
-        taps = list(self._blocks(h, et, ec, seg))
-        p = self.params
-        v = tz.scatter_rows(tz.affine(taps[-1], p["out_w"], p["out_b"]), frames, lead)
-        return v, Taps(taps, seg, frames, lead)
-
-    def pooled_taps(self, x_t, t, cond, cond_tokens, mask, valid_len) -> list:
-        """Each block's (B, hidden) mean over its items' frames, without the velocity.
-
-        Takes ``forward``'s arguments and equals its ``taps.item_means()``
-        bit for bit, but pools each block's rows as soon as the block
-        returns and drops them, so under ``no_grad`` at most two blocks'
-        rows are alive at once.
-        """
-        h, seg, _, _, et, ec = self._rows(x_t, t, cond, cond_tokens, mask, valid_len)
-        return [tz.segment_mean(h, seg) for h in self._blocks(h, et, ec, seg)]
+        return Taps(self, h, et, ec, seg, frames, lead)
 
     def _rows(self, x_t, t, cond, cond_tokens, mask, valid_len) -> tuple:
         """The trunk's input rows and what every block needs.
@@ -295,10 +318,12 @@ def sample(model: FlowModel, batch, n_steps: int, seed):
     down to a token boundary) to one past its last, with the item's tokens
     shifted to match, in chunks of items sorted by window length. Each
     window is passed as the item's valid frames, so ``forward`` runs its
-    rows and nothing of the chunk's padding. The noise is one draw over
-    the padded batch, sliced per item, so the result equals the Euler loop
-    over the full padded batch bit for bit. Only ``model.forward`` and
-    ``model.config`` are used.
+    rows and nothing of the chunk's padding. The noise is drawn item by
+    item, one (T, feat_dim) draw each in item order, which continues one
+    stream and so gives the values of one (B, T, feat_dim) draw over the
+    padded batch; only each item's window of it is kept. So the result
+    equals the Euler loop over the full padded batch bit for bit. Only
+    ``model.forward`` and ``model.config`` are used.
     """
     if n_steps < 1:
         raise ConfigurationError("n_steps must be >= 1")
@@ -311,15 +336,17 @@ def sample(model: FlowModel, batch, n_steps: int, seed):
     Tc = tokens.shape[1]
     fpt = model.config.frames_per_token
     valid = (np.arange(T)[None, :] < batch.valid_len[:, None]).astype(np.float64)
-    noise = rng.standard_normal((B, T, D))
 
     masked = mask != 0
     start = np.argmax(masked, axis=1) // fpt * fpt
     stop = T - np.argmax(masked[:, ::-1], axis=1)
     width = np.where(masked.any(axis=1), stop - start, 0)
+    # the padded batch's (B, T, D) noise, drawn item by item in the same order;
+    # only each item's window of it is kept
+    noise = [rng.standard_normal((T, D))[s : s + w].copy() for s, w in zip(start, width)]
 
     # what the last step leaves outside the windows: prompt frames, zero padding
-    out = (1.0 - mask[..., None]) * x1 * valid[..., None]
+    out = x1 * ((1.0 - mask) * valid)[..., None]
     ts = np.linspace(0.0, 1.0, n_steps + 1)
     for idx, L in _length_chunks(width, T):
         if not width[idx].any():
@@ -333,7 +360,9 @@ def sample(model: FlowModel, batch, n_steps: int, seed):
         x1_w = np.where(inside[..., None], x1[at], 0.0)
         tok_w = tokens[idx[:, None], np.minimum(start[idx, None] // fpt + np.arange(Tc), Tc - 1)]
         m = m_w[..., None]
-        x = (1.0 - m) * x1_w + m * np.where(inside[..., None], noise[at], 0.0)
+        noise_w = np.zeros((len(idx), L, D))
+        noise_w[inside] = np.concatenate([noise[b] for b in idx])
+        x = (1.0 - m) * x1_w + m * noise_w
         x *= v_w
         with tz.no_grad():
             for k in range(n_steps):

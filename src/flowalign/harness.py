@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as tz
 from .alignment import AlignConfig, AlignmentHead
 from .encoder import EncoderConfig, SpeakerEncoder, similarity_score, train_encoder
-from .errors import ConfigurationError, TrainingDiagnosticsError
+from .errors import ConfigurationError, IntegrityError, TrainingDiagnosticsError
 from .flow import FlowConfig, FlowModel, _length_chunks, make_interpolant, cfm_loss, sample
 from .cknna import layer_alignment
 from .optim import AdamW, cosine_warmup_lr
@@ -133,11 +133,12 @@ def layer_representations(model, batch, t_value: float, noise: np.ndarray) -> li
     The probe state is the training interpolant built from a fixed noise
     draw, so the representation depends only on the parameters. The trunk
     is per-frame, so the items run in chunks: each chunk builds its own
-    interpolant from its slice of the batch and the noise, and
-    ``FlowModel.pooled_taps`` pools each block's rows per item as the
-    block returns, so neither a padded tap nor all twelve blocks' rows are
-    ever held. The interpolant is elementwise, and the result equals
-    ``mean_pool_time`` of the full padded batch's taps bit for bit.
+    interpolant from its slice of the batch and the noise, and the taps
+    of ``FlowModel.taps``, read without grad, pool each block's rows per
+    item as the block returns, so neither a padded tap nor all twelve
+    blocks' rows are ever held. The interpolant is elementwise, and the
+    result equals ``mean_pool_time`` of the full padded batch's taps bit
+    for bit.
     """
     t = np.full(batch.x1.shape[0], float(t_value))
     lens = np.asarray(batch.valid_len)
@@ -147,9 +148,9 @@ def layer_representations(model, batch, t_value: float, noise: np.ndarray) -> li
         for idx, L in chunks:
             mask = batch.mask[idx, :L]
             x_t, _ = make_interpolant(batch.x1[idx, :L], mask, t[idx], noise[idx, :L])
-            means = model.pooled_taps(
+            means = model.taps(
                 x_t, t[idx], batch.cond[idx], batch.cond_tokens[idx], mask, lens[idx]
-            )
+            ).item_means()
             pooled.append([m.data for m in means])
     back = np.argsort(np.concatenate([idx for idx, _ in chunks]))
     return [np.concatenate(layer)[back] for layer in zip(*pooled)]
@@ -215,7 +216,8 @@ def train_run(
     mode or lam == 0), which leaves the trunk's gradients, optimizer
     state, and loss trajectory identical to a run without the head.
     Without ``dataset_hash`` the run hashes ``dataset`` itself, so every
-    run records the manifest it was trained on.
+    run records the manifest it was trained on; an encoder that records
+    another manifest is refused.
     """
     config = ExperimentConfig(
         dataset.config, encoder_a.config, encoder_b.config, flow_cfg, align_cfg, train_cfg
@@ -226,6 +228,11 @@ def train_run(
     t0 = time.monotonic()
     if dataset_hash is None:
         dataset_hash = manifest_hash(dataset)
+    for name, enc in (("a", encoder_a), ("b", encoder_b)):
+        if enc.dataset_hash not in (None, dataset_hash):
+            raise IntegrityError(
+                f"encoder-{name} was trained on dataset {enc.dataset_hash}, not on {dataset_hash}"
+            )
 
     model = FlowModel(flow_cfg)
     aux_active = align_cfg.mode != "baseline" and align_cfg.lam > 0.0
@@ -483,6 +490,7 @@ class Workspace:
             attr = f"encoder_{which}"
             if getattr(self, attr) is None:
                 enc, rep = train_encoder(ds, getattr(self.exp, attr))
+                enc.dataset_hash = self.dataset_hash
                 setattr(self, attr, enc)
                 self.encoder_reports[which] = rep
                 if rep["holdout_accuracy"] < min_accuracy:

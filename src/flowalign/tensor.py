@@ -603,7 +603,7 @@ def stack_last(parts: Sequence[Tensor]) -> Tensor:
     def backward(g):
         for i, p in enumerate(parts):
             if p.requires_grad:
-                _accumulate(p, np.ascontiguousarray(g[..., i]))
+                _accumulate(p, g[..., i].copy())  # ascontiguousarray makes 0-d slices (1,)
 
     return _make(data, tuple(parts), backward)
 
@@ -644,13 +644,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if np.any(y < 0) or np.any(y >= C):
         raise DomainError("label outside [0, C)")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
+    e = np.exp(z)
+    lse = np.log(e.sum(axis=1))
     data = np.mean(lse - z[np.arange(B), y])
 
     def backward(g):
         if logits.requires_grad:
-            p = np.exp(z)
-            p /= p.sum(axis=1, keepdims=True)
+            p = e / e.sum(axis=1, keepdims=True)  # a new array: e stays for another backward
             p[np.arange(B), y] -= 1.0
             _accumulate(logits, g * p / B)
 

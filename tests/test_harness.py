@@ -190,6 +190,25 @@ class TestDiagnostics:
             )
 
 
+    def test_encoders_of_another_corpus_refused(self, workspace, tmp_path):
+        """Encoders a workspace trained record its corpus; a run on another manifest refuses them."""
+        from dataclasses import replace
+
+        from flowalign.errors import IntegrityError
+        from flowalign.synth import generate_dataset, write_manifest
+
+        assert workspace.encoder_a.dataset_hash == workspace.dataset_hash is not None
+        assert workspace.encoder_b.dataset_hash == workspace.dataset_hash
+        exp = micro_experiment()
+        write_manifest(generate_dataset(replace(exp.data, seed=14)), tmp_path / "seed14")
+        ws = Workspace(exp)
+        ws.encoder_a, ws.encoder_b = workspace.encoder_a, workspace.encoder_b
+        ws.load_dataset(tmp_path / "seed14")
+        assert ws.dataset_hash != workspace.dataset_hash
+        with pytest.raises(IntegrityError, match="encoder-a was trained on dataset"):
+            ws.run("baseline", 0)
+
+
 class TestConfig:
     def test_section_round_trip(self):
         exp = micro_experiment()

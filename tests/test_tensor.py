@@ -296,6 +296,15 @@ class TestOpSemantics:
         got = tz.cross_entropy(Tensor(logits), labels).data
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
+    def test_cross_entropy_second_backward_adds_the_same_gradient(self):
+        rng = np.random.default_rng(5)
+        logits = Tensor(rng.normal(size=(4, 6)) * 3, requires_grad=True)
+        loss = tz.cross_entropy(logits, rng.integers(0, 6, size=4))
+        loss.backward()
+        first = logits.grad.copy()
+        loss.backward()
+        assert np.array_equal(logits.grad, 2.0 * first)
+
     def test_matmul_shape_errors(self):
         with pytest.raises(ShapeMismatchError):
             Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 2)))
@@ -662,3 +671,57 @@ class TestSegmentProperties:
             tz.segment_mean(Tensor(np.zeros((4, 2))), tz.Segments([2, 1]))
         with pytest.raises(ShapeMismatchError):
             tz.scatter_rows(Tensor(np.zeros((2, 2))), [0, 1, 2], (1, 3))
+
+
+@st.composite
+def stacks(draw):
+    """A shape of 0 to 3 axes, and a list of 1 to 5 parts, each one of up to
+    three distinct tensors of that shape, so a tensor may fill several slots."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    picks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+    needs_grad = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    return shape, picks, needs_grad
+
+
+class TestStackAndPoolProperties:
+    """``stack_last`` and ``mean_pool_time`` against numpy on random shapes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=stacks())
+    def test_stack_last_values_and_gradients(self, case):
+        shape, picks, needs_grad = case
+        rng = np.random.default_rng(len(picks) + 7 * len(shape))
+        pool = [Tensor(rng.normal(size=shape), requires_grad=r) for r in needs_grad]
+        out = tz.stack_last([pool[j] for j in picks])
+        assert np.array_equal(out.data, np.stack([pool[j].data for j in picks], axis=-1))
+
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        for j, tensor in enumerate(pool):
+            slots = [i for i, p in enumerate(picks) if p == j]
+            if not (tensor.requires_grad and slots):
+                assert tensor.grad is None
+                continue
+            want = g[..., slots[0]]
+            for i in slots[1:]:  # one piece per use, added in slot order
+                want = want + g[..., i]
+            assert tensor.grad.shape == shape
+            assert np.array_equal(tensor.grad, want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=padded_rows())
+    def test_mean_pool_time_values_and_gradients(self, case):
+        x0, lens = case
+        valid = np.arange(x0.shape[1])[None, :] < lens[:, None]
+        x = Tensor(x0, requires_grad=True)
+        out = tz.mean_pool_time(x, lens)
+        want = np.stack([x0[b, :n].mean(axis=0) for b, n in enumerate(lens)])
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=0.0)
+        # padding takes no part, exactly
+        wild = np.where(valid[..., None], x0, 1e300)
+        assert np.array_equal(tz.mean_pool_time(Tensor(wild), lens).data, out.data)
+
+        g = np.random.default_rng(int(lens.sum())).normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        share = g * (1.0 / lens)[:, None]
+        assert np.array_equal(x.grad, np.where(valid[..., None], share[:, None, :], 0.0))
