@@ -34,14 +34,11 @@ class AlignConfig:
     adapter_hidden: int = 64
     time_hidden: int = 64
     time_embed_dim: int = 64
-    sa_source: str = "prompt"  # prompt | target
     seed: int = 0
 
     def validate(self):
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}")
-        if self.sa_source not in ("prompt", "target"):
-            raise ConfigurationError("sa_source must be 'prompt' or 'target'")
         if self.lam < 0 or self.alpha < 0:
             raise ConfigurationError("lam and alpha must be >= 0")
         if self.time_embed_dim % 2:

@@ -199,18 +199,15 @@ class FlowModel:
         p = self.params
         valid = np.arange(T)[None, :] < np.asarray(valid_len)[:, None]
         frames = np.flatnonzero(valid)
-        # numpy runs a one-row product as gemv, which rounds differently from the
-        # padded batch's gemm, so a lone row runs beside a spare copy of itself
-        rows = np.repeat(frames, 2) if frames.size == 1 < B * T else frames
-        seg = tz.Segments(valid.sum(axis=1), n_rows=rows.size)
+        seg = tz.Segments(valid.sum(axis=1))
 
         xin = np.concatenate(
-            [x_t.reshape(-1, D)[rows], np.asarray(mask, dtype=np.float64).reshape(-1, 1)[rows]],
+            [x_t.reshape(-1, D)[frames], np.asarray(mask, dtype=np.float64).reshape(-1, 1)[frames]],
             axis=1,
         )
         h = tz.affine(Tensor(xin), p["in_w"], p["in_b"])
 
-        ids = self._frame_token_ids(np.asarray(cond_tokens), T, valid_len).reshape(-1)[rows]
+        ids = self._frame_token_ids(np.asarray(cond_tokens), T, valid_len).reshape(-1)[frames]
         live = (ids != PAD_TOKEN).astype(np.float64)[:, None]
         tok = tz.embedding(p["tok_table"], np.maximum(ids, 0))
         tok = tz.affine(tok * Tensor(live), p["tok_w"], Tensor(np.zeros(self.config.hidden)))
@@ -284,24 +281,13 @@ def cfm_loss(v: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
 _CHUNK = 50
 
 
-def _length_chunks(lengths, T: int) -> list[tuple[np.ndarray, int]]:
+def _length_chunks(lengths) -> list[tuple[np.ndarray, int]]:
     """(items, frames) of each chunk: item indices in ascending order of length
-    (ties by index), _CHUNK at a time, and the frames to run them on.
-
-    numpy computes a product whose left operand has one row as a
-    matrix-vector product, which rounds differently from the matrix-matrix
-    product of more rows, and ``FlowModel.forward`` runs one row only when
-    its padded batch has one frame. So a lone last item joins the chunk
-    before it, and a chunk runs on at least two frames when T has them: a
-    product then has one row only where the full padded (B, T) batch's has
-    one too.
-    """
+    (ties by index), _CHUNK at a time, and the longest of their lengths."""
     lengths = np.asarray(lengths)
     order = np.argsort(lengths, kind="stable")
-    cuts = list(range(_CHUNK, len(order), _CHUNK))
-    if cuts and len(order) % _CHUNK == 1:
-        cuts.pop()
-    return [(idx, max(int(lengths[idx].max()), min(2, T))) for idx in np.split(order, cuts)]
+    chunks = np.split(order, range(_CHUNK, len(order), _CHUNK))
+    return [(idx, int(lengths[idx].max())) for idx in chunks]
 
 
 def sample(model: FlowModel, batch, n_steps: int, seed):
@@ -348,7 +334,7 @@ def sample(model: FlowModel, batch, n_steps: int, seed):
     # what the last step leaves outside the windows: prompt frames, zero padding
     out = x1 * ((1.0 - mask) * valid)[..., None]
     ts = np.linspace(0.0, 1.0, n_steps + 1)
-    for idx, L in _length_chunks(width, T):
+    for idx, L in _length_chunks(width):
         if not width[idx].any():
             continue
         frames = start[idx, None] + np.arange(L)

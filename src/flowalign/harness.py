@@ -66,6 +66,10 @@ class TrainConfig:
             raise ConfigurationError("eval_mask_fraction must be in (0, 1)")
         if self.eval_ode_steps < 1:
             raise ConfigurationError("eval_ode_steps must be >= 1")
+        if self.heatmap_points < 1:
+            raise ConfigurationError("heatmap_points must be >= 1")
+        if not (0 <= self.eval_probe_t <= 1):
+            raise ConfigurationError("eval_probe_t must be in [0, 1]")
         if any(s < 1 or s > self.steps for s in self.eval_steps):
             raise ConfigurationError("eval_steps entries must lie in [1, steps]")
 
@@ -142,7 +146,7 @@ def layer_representations(model, batch, t_value: float, noise: np.ndarray) -> li
     """
     t = np.full(batch.x1.shape[0], float(t_value))
     lens = np.asarray(batch.valid_len)
-    chunks = _length_chunks(lens, batch.x1.shape[1])
+    chunks = _length_chunks(lens)
     pooled = []
     with tz.no_grad():
         for idx, L in chunks:
@@ -281,11 +285,7 @@ def train_run(
         )
         loss_cfm = cfm_loss(v, target, batch.mask)
         if aux_active:
-            if align_cfg.sa_source == "prompt":
-                e_sa = batch.cond
-            else:
-                e_sa = _embed_rows(encoder_a, batch.x1, batch.valid_len)
-            loss_aux, _ = head.loss(taps, batch.valid_len, e_sa, t)
+            loss_aux, _ = head.loss(taps, batch.valid_len, batch.cond, t)
             total = loss_cfm + align_cfg.lam * loss_aux
             aux_val = float(loss_aux.data)
         else:

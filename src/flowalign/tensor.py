@@ -193,6 +193,18 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     return out
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-d arrays, with each row's bits independent of how many rows a has.
+
+    numpy runs a product whose left operand has one row as a matrix-vector
+    product (gemv), which rounds differently from the matrix-matrix product
+    (gemm) of more rows, so a lone row runs beside a copy of itself.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 # -- primitive operations ----------------------------------------------------
 
 
@@ -233,13 +245,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"matmul needs (M,K)@(K,N), got {a.shape} @ {b.shape}"
         )
-    data = a.data @ b.data
+    data = _mm(a.data, b.data)
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, _mm(g, b.data.T))
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, _mm(a.data.T, g))
 
     return _make(data, (a, b), backward)
 
@@ -252,14 +264,14 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, x.shape[-1])
-    data = (x2 @ w.data + b.data).reshape(*lead, w.shape[1])
+    data = (_mm(x2, w.data) + b.data).reshape(*lead, w.shape[1])
 
     def backward(g):
         g2 = g.reshape(-1, w.shape[1])
         if x.requires_grad:
-            _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
+            _accumulate(x, _mm(g2, w.data.T).reshape(x.shape))
         if w.requires_grad:
-            _accumulate(w, x2.T @ g2)
+            _accumulate(w, _mm(x2.T, g2))
         if b.requires_grad:
             _accumulate(b, g2.sum(axis=0))
 
@@ -269,20 +281,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 class Segments:
     """Rows grouped by item: item b owns ``counts[b]`` consecutive rows, in item order.
 
-    ``n_rows`` may exceed ``sum(counts)``: the spare rows past the items'
-    rows belong to no item, take no per-item value and are left out of
-    every segment sum. ``item`` gives the item of each of the items' rows.
+    ``total`` is the number of rows and ``item`` gives the item of each row.
     """
 
-    def __init__(self, counts, n_rows: int | None = None):
+    def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.int64).reshape(-1)
         if counts.size == 0 or np.any(counts < 0):
             raise ShapeMismatchError(f"segment counts must be >= 0 for at least one item: {counts}")
         self.counts = counts
         self.total = int(counts.sum())
-        self.n_rows = self.total if n_rows is None else int(n_rows)
-        if self.n_rows < self.total:
-            raise ShapeMismatchError(f"{self.n_rows} rows for segments of {self.total}")
         self.item = np.repeat(np.arange(counts.size), counts)
         # runs of consecutive items with equal counts, each handled by one reshape
         firsts = np.flatnonzero(np.diff(counts, prepend=-1))
@@ -295,7 +302,7 @@ class Segments:
         ]
 
     def sum(self, rows: np.ndarray) -> np.ndarray:
-        """Per-item sums of ``rows`` (n_rows, K), (n_items, K); zero for an empty item.
+        """Per-item sums of ``rows`` (total, K), (n_items, K); zero for an empty item.
 
         With K >= 2, each item's rows are added one after the other, in row
         order, as a sum over the frame axis of the padded (n_items, T, K)
@@ -323,18 +330,18 @@ def residual_block(
     """h + affine(tanh(affine(h, w1, b1) + z[seg.item]), w2, b2) as one node.
 
     h is (N, H) rows grouped by ``seg``, w1 (H, K), b1 (K,), z (B, K) a
-    per-item shift added to each row of its item (spare rows take none), w2
-    (K, H) and b2 (H,). The values and gradients equal those of the
-    composition of ``affine``, ``embedding``, ``add`` and ``tanh`` bit for
-    bit when K >= 2: the forward runs the same operations in the same
-    order, in place, and the backward adds the two gradient paths into h as
-    separate pieces, as the composition's nodes do; z's gradient is the
-    segment sum of its rows'. Only the tanh output is kept for backward.
+    per-item shift added to each row of its item, w2 (K, H) and b2 (H,).
+    The values and gradients equal those of the composition of ``affine``,
+    ``embedding``, ``add`` and ``tanh`` bit for bit when K >= 2: the forward
+    runs the same operations in the same order, in place, and the backward
+    adds the two gradient paths into h as separate pieces, as the
+    composition's nodes do; z's gradient is the segment sum of its rows'.
+    Only the tanh output is kept for backward.
     """
     if (
         h.data.ndim != 2
         or b1.data.ndim != 1
-        or h.shape[0] != seg.n_rows
+        or h.shape[0] != seg.total
         or w1.shape != (h.shape[1], b1.shape[0])
         or z.shape != (seg.counts.size, b1.shape[0])
         or w2.shape != (b1.shape[0], h.shape[1])
@@ -342,53 +349,46 @@ def residual_block(
     ):
         raise ShapeMismatchError(
             f"residual_block shapes disagree: h {h.shape}, w1 {w1.shape}, b1 {b1.shape},"
-            f" z {z.shape}, w2 {w2.shape}, b2 {b2.shape}, {seg.n_rows} rows"
+            f" z {z.shape}, w2 {w2.shape}, b2 {b2.shape}, {seg.total} rows"
             f" of {seg.counts.size} items"
         )
-    y = h.data @ w1.data
+    y = _mm(h.data, w1.data)
     y += b1.data
     seg.add_per_item(y, z.data)
     np.tanh(y, out=y)
-    out = y @ w2.data
+    out = _mm(y, w2.data)
     out += b2.data
     out += h.data
 
     def backward(g):
         if w2.requires_grad:
-            _accumulate(w2, y.T @ g)
+            _accumulate(w2, _mm(y.T, g))
         if b2.requires_grad:
             _accumulate(b2, g.sum(axis=0))
         if h.requires_grad:
             _accumulate(h, g)
-        gs = g @ w2.data.T
+        gs = _mm(g, w2.data.T)
         gs *= 1.0 - y * y
         if z.requires_grad:
             _accumulate(z, seg.sum(gs))
         if w1.requires_grad:
-            _accumulate(w1, h.data.T @ gs)
+            _accumulate(w1, _mm(h.data.T, gs))
         if b1.requires_grad:
             _accumulate(b1, gs.sum(axis=0))
         if h.requires_grad:
-            _accumulate(h, gs @ w1.data.T)
+            _accumulate(h, _mm(gs, w1.data.T))
 
     return _make(out, (h, w1, b1, z, w2, b2), backward)
 
 
-def _spare_rows_zero(rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """``rows`` followed by zero rows up to ``n_rows``."""
-    if rows.shape[0] == n_rows:
-        return rows
-    return np.concatenate([rows, np.zeros((n_rows - rows.shape[0],) + rows.shape[1:])])
-
-
 def segment_mean(x: Tensor, seg: Segments) -> Tensor:
-    """Mean of each item's rows of x (N, D), (B, D); spare rows do not count.
+    """Mean of each item's rows of x (N, D), (B, D).
 
     With D >= 2 it equals ``mean_pool_time`` of the padded (B, T, D) array
     bit for bit, values and gradient.
     """
-    if x.data.ndim != 2 or x.shape[0] != seg.n_rows:
-        raise ShapeMismatchError(f"segment_mean expects ({seg.n_rows}, D), got {x.shape}")
+    if x.data.ndim != 2 or x.shape[0] != seg.total:
+        raise ShapeMismatchError(f"segment_mean expects ({seg.total}, D), got {x.shape}")
     if np.any(seg.counts < 1):
         raise DegenerateInputError("segment_mean needs >= 1 row for every item")
     inv = 1.0 / seg.counts.astype(np.float64)
@@ -396,27 +396,23 @@ def segment_mean(x: Tensor, seg: Segments) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, _spare_rows_zero((g * inv[:, None])[seg.item], seg.n_rows))
+            _accumulate(x, (g * inv[:, None])[seg.item])
 
     return _make(data, (x,), backward)
 
 
 def scatter_rows(x: Tensor, index, lead: tuple[int, ...]) -> Tensor:
-    """Rows of x (N, D) placed at flat positions ``index`` of a zero (*lead, D) array.
-
-    Rows of x past ``len(index)`` are dropped; their gradient is zero.
-    """
+    """Rows of x (N, D) placed at flat positions ``index`` (N,) of a zero (*lead, D) array."""
     index = np.asarray(index, dtype=np.int64)
-    if x.data.ndim != 2 or index.shape[0] > x.shape[0]:
-        raise ShapeMismatchError(f"scatter_rows: {index.shape[0]} positions for rows {x.shape}")
+    if x.data.ndim != 2 or index.shape != x.shape[:1]:
+        raise ShapeMismatchError(f"scatter_rows: positions {index.shape} for rows {x.shape}")
     D = x.shape[1]
-    n = index.shape[0]
     flat = np.zeros((math.prod(lead), D))
-    flat[index] = x.data[:n]
+    flat[index] = x.data
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, _spare_rows_zero(g.reshape(-1, D)[index], x.shape[0]))
+            _accumulate(x, g.reshape(-1, D)[index])
 
     return _make(flat.reshape(*lead, D), (x,), backward)
 

@@ -251,8 +251,6 @@ class TestModes:
             AlignConfig(mode="sometimes").validate()
         with pytest.raises(ConfigurationError):
             AlignConfig(lam=-0.1).validate()
-        with pytest.raises(ConfigurationError):
-            AlignConfig(sa_source="oracle").validate()
 
     def test_needs_layers(self):
         with pytest.raises(ConfigurationError):

@@ -525,6 +525,44 @@ class TestChunkedRepresentations:
         assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+class TestOneItemAlone:
+    """The first item of a default-corpus eval batch of 20, run alone, gets the
+    bits of its row in the batch: its products' one row is guarded in ``tensor``."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from flowalign.encoder import EncoderConfig, SpeakerEncoder
+        from flowalign.synth import DatasetConfig, generate_dataset, make_eval_batch
+
+        dataset = generate_dataset(DatasetConfig())
+        encoder = SpeakerEncoder(EncoderConfig(), n_classes=len(dataset.speakers_train))
+        batch = make_eval_batch(dataset.test[:20], encoder)
+        alone = make_eval_batch(dataset.test[:1], encoder)
+        assert alone.x1.shape[1] == alone.valid_len[0] < batch.x1.shape[1]
+        return encoder, FlowModel(FlowConfig()), batch, alone
+
+    def test_embedding(self, setup):
+        encoder, _, batch, alone = setup
+        got = encoder.embed(alone.x1, alone.valid_len).data
+        assert np.array_equal(got, encoder.embed(batch.x1, batch.valid_len).data[:1])
+        assert np.array_equal(alone.cond, batch.cond[:1])
+
+    def test_layer_representations(self, setup):
+        _, model, batch, alone = setup
+        noise = np.random.default_rng(6).standard_normal(batch.x1.shape)
+        T1 = alone.x1.shape[1]
+        got = layer_representations(model, alone, 0.5, noise[:1, :T1])
+        want = layer_representations(model, batch, 0.5, noise)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w[:1])
+
+    def test_sample(self, setup):
+        _, model, batch, alone = setup
+        T1 = alone.x1.shape[1]
+        got = sample(model, alone, 3, seed=9)
+        assert np.array_equal(got[0], sample(model, batch, 3, seed=9)[0, :T1])
+
+
 class TestTimeFeatures:
     def test_shape_and_bounds(self):
         f = sinusoidal_features(np.linspace(0, 1, 7), 12)

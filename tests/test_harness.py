@@ -224,6 +224,15 @@ class TestConfig:
             ExperimentConfig.from_dict({"data": {"speekers": 10}})
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict({"trainn": {}})
+        with pytest.raises(ConfigurationError, match="unknown align fields"):
+            ExperimentConfig.from_dict({"align": {"sa_source": "prompt"}})  # a removed field
+
+    def test_train_fields_checked(self):
+        TrainConfig(heatmap_points=1, eval_probe_t=0.0).validate()
+        TrainConfig(eval_probe_t=1.0).validate()
+        for bad in ({"heatmap_points": 0}, {"eval_probe_t": -0.1}, {"eval_probe_t": 1.5}):
+            with pytest.raises(ConfigurationError):
+                TrainConfig(**bad).validate()
 
     def test_cross_section_validation(self):
         exp = micro_experiment()
