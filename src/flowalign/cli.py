@@ -19,6 +19,7 @@ from .errors import IntegrityError
 from .flow import FlowModel, sample as ode_sample
 from .harness import (
     ExperimentConfig,
+    TrainConfig,
     Workspace,
     ablation_table,
     eval_inputs,
@@ -97,7 +98,7 @@ def cmd_sample(args) -> int:
     enc = _load_encoder(args.encoder, ds_hash)
     ExperimentConfig(data=ds.config, encoder_a=enc.config, flow=model.config).check_dimensions()
     utts = ds.test[: args.count]
-    batch = make_eval_batch(utts, enc, args.mask_fraction)
+    batch = make_eval_batch(utts, enc, TrainConfig.eval_mask_fraction)
     gen = ode_sample(model, batch, args.ode_steps, args.seed)
     rows = []
     for b in range(len(utts)):
@@ -127,7 +128,11 @@ def cmd_analyze(args) -> int:
     model = FlowModel.load(run / "model.json")
     enc_a = _load_encoder(args.encoder_a, ds_hash)
     enc_b = _load_encoder(args.encoder_b, ds_hash)
-    tc = ExperimentConfig.from_dict(report["config"]).train
+    exp = ExperimentConfig.from_dict(report["config"])
+    for name, enc, cfg in (("a", enc_a, exp.encoder_a), ("b", enc_b, exp.encoder_b)):
+        if enc.config != cfg:
+            raise IntegrityError(f"encoder-{name} was trained with another config than run {run}")
+    tc = exp.train
     row = evaluate(model, eval_inputs(ds, enc_a, tc), {"a": enc_a, "b": enc_b}, tc, tc.steps)
     out = {key: row[key] for key in ("sim_a", "sim_b")}
     for key in ("layer_cknna_a", "layer_cknna_b"):
@@ -204,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--ode-steps", type=int, default=32)
-    p.add_argument("--mask-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_sample)
 

@@ -11,6 +11,7 @@ the evaluation leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,10 +30,11 @@ class EncoderConfig:
     seed: int = 11
     steps: int = 1200
     batch_size: int = 256
-    lr: float = 3e-3
-    weight_decay: float = 1e-4
-    holdout_frac: float = 0.1
     name: str = "encoder-a"
+    # the same for every encoder, so no config sets them
+    lr: ClassVar[float] = 3e-3
+    weight_decay: ClassVar[float] = 1e-4
+    holdout_frac: ClassVar[float] = 0.1
 
     @staticmethod
     def variant_a() -> "EncoderConfig":

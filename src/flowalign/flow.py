@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigurationError, ShapeMismatchError
+from .errors import ConfigurationError, DomainError, ShapeMismatchError
 from .serialize import load_strict, save_checkpoint
 from .synth import PAD_TOKEN
 from .tensor import Tensor
@@ -158,6 +158,9 @@ class FlowModel:
             (v, taps) where v is a (B, T, feat_dim) tensor, zero on padding,
             and taps is a ``Taps`` of the hidden states after every block.
 
+        Other shapes raise ``ShapeMismatchError``, and a valid_len outside
+        [0, T] raises ``DomainError``.
+
         The trunk is per-frame, so it runs on the valid frames only: they
         are gathered once into rows, item after item, and each row's value
         equals that frame's in a run over the whole padded batch bit for bit.
@@ -196,18 +199,25 @@ class FlowModel:
             raise ShapeMismatchError(
                 f"cond must be (B, {self.config.cond_dim}), got {np.asarray(cond).shape}"
             )
+        mask, cond_tokens = np.asarray(mask, dtype=np.float64), np.asarray(cond_tokens)
+        valid_len = np.asarray(valid_len)
+        if (mask.shape != (B, T) or valid_len.shape != (B,) or np.shape(t) != (B,)
+                or cond_tokens.ndim != 2 or len(cond_tokens) != B):
+            raise ShapeMismatchError(
+                f"expected a {(B, T)} mask, ({B},) valid_len and t, and {B}-row 2-D cond_tokens;"
+                f" got {mask.shape}, {valid_len.shape}, {np.shape(t)} and {cond_tokens.shape}"
+            )
+        if np.any(valid_len < 0) or np.any(valid_len > T):
+            raise DomainError(f"valid_len must lie in [0, {T}], got {valid_len}")
         p = self.params
-        valid = np.arange(T)[None, :] < np.asarray(valid_len)[:, None]
+        valid = np.arange(T)[None, :] < valid_len[:, None]
         frames = np.flatnonzero(valid)
         seg = tz.Segments(valid.sum(axis=1))
 
-        xin = np.concatenate(
-            [x_t.reshape(-1, D)[frames], np.asarray(mask, dtype=np.float64).reshape(-1, 1)[frames]],
-            axis=1,
-        )
+        xin = np.concatenate([x_t.reshape(-1, D)[frames], mask.reshape(-1, 1)[frames]], axis=1)
         h = tz.affine(Tensor(xin), p["in_w"], p["in_b"])
 
-        ids = self._frame_token_ids(np.asarray(cond_tokens), T, valid_len).reshape(-1)[frames]
+        ids = self._frame_token_ids(cond_tokens, T, valid_len).reshape(-1)[frames]
         live = (ids != PAD_TOKEN).astype(np.float64)[:, None]
         tok = tz.embedding(p["tok_table"], np.maximum(ids, 0))
         tok = tz.affine(tok * Tensor(live), p["tok_w"], Tensor(np.zeros(self.config.hidden)))
@@ -308,8 +318,10 @@ def sample(model: FlowModel, batch, n_steps: int, seed):
     item, one (T, feat_dim) draw each in item order, which continues one
     stream and so gives the values of one (B, T, feat_dim) draw over the
     padded batch; only each item's window of it is kept. So the result
-    equals the Euler loop over the full padded batch bit for bit. Only
-    ``model.forward`` and ``model.config`` are used.
+    equals the Euler loop over the full padded batch bit for bit. A mask
+    must lie inside each item's valid frames (``DomainError`` otherwise),
+    so every window frame is valid, and ``forward``'s velocity is zero
+    past each window. Only ``model.forward`` and ``model.config`` are used.
     """
     if n_steps < 1:
         raise ConfigurationError("n_steps must be >= 1")
@@ -321,9 +333,11 @@ def sample(model: FlowModel, batch, n_steps: int, seed):
     B, T, D = x1.shape
     Tc = tokens.shape[1]
     fpt = model.config.frames_per_token
-    valid = (np.arange(T)[None, :] < batch.valid_len[:, None]).astype(np.float64)
-
+    valid = np.arange(T)[None, :] < batch.valid_len[:, None]
     masked = mask != 0
+    if np.any(masked & ~valid):
+        raise DomainError("the mask covers padding frames")
+
     start = np.argmax(masked, axis=1) // fpt * fpt
     stop = T - np.argmax(masked[:, ::-1], axis=1)
     width = np.where(masked.any(axis=1), stop - start, 0)
@@ -342,20 +356,18 @@ def sample(model: FlowModel, batch, n_steps: int, seed):
         # frames past an item's own window carry zeros; their velocities are dropped
         at = (idx[:, None], np.minimum(frames, T - 1))
         m_w = np.where(inside, mask[at], 0.0)
-        v_w = np.where(inside, valid[at], 0.0)[..., None]
         x1_w = np.where(inside[..., None], x1[at], 0.0)
         tok_w = tokens[idx[:, None], np.minimum(start[idx, None] // fpt + np.arange(Tc), Tc - 1)]
         m = m_w[..., None]
         noise_w = np.zeros((len(idx), L, D))
         noise_w[inside] = np.concatenate([noise[b] for b in idx])
         x = (1.0 - m) * x1_w + m * noise_w
-        x *= v_w
         with tz.no_grad():
             for k in range(n_steps):
                 t = np.full(len(idx), ts[k])
                 v, _ = model.forward(x, t, cond[idx], tok_w, m_w, width[idx])
-                x = x + (ts[k + 1] - ts[k]) * v.data * v_w
-                x = m * x + (1.0 - m) * x1_w * v_w
+                x = x + (ts[k + 1] - ts[k]) * v.data
+                x = m * x + (1.0 - m) * x1_w
         i, j = np.nonzero(inside)
         out[idx[i], frames[i, j]] = x[i, j]
     return out

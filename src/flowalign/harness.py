@@ -15,6 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,33 +44,28 @@ from .synth import (
 class TrainConfig:
     steps: int = 600
     batch_size: int = 16
-    lr: float = 3e-3
-    final_lr_frac: float = 0.1
-    warmup_steps: int = 40
-    weight_decay: float = 1e-4
     time_gate_lr_mult: float = 10.0
     adapter_lr_mult: float = 1.0
     seed: int = 0
     eval_steps: tuple = ()  # checkpoints before the last step, which is always evaluated
     eval_utterances: int = 500
     eval_ode_steps: int = 32
-    eval_mask_fraction: float = 0.5
-    eval_probe_t: float = 0.5
     cknna_k: int = 10
-    heatmap_points: int = 21
-    loss_blowup: float = 1e4
+    # the same in every run, so no config sets them; an instance reads them like fields
+    lr: ClassVar[float] = 3e-3
+    final_lr_frac: ClassVar[float] = 0.1
+    warmup_steps: ClassVar[int] = 40
+    weight_decay: ClassVar[float] = 1e-4
+    eval_mask_fraction: ClassVar[float] = 0.5
+    eval_probe_t: ClassVar[float] = 0.5
+    heatmap_points: ClassVar[int] = 21
+    loss_blowup: ClassVar[float] = 1e4
 
     def validate(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigurationError("steps and batch_size must be positive")
-        if not (0 < self.eval_mask_fraction < 1):
-            raise ConfigurationError("eval_mask_fraction must be in (0, 1)")
         if self.eval_ode_steps < 1:
             raise ConfigurationError("eval_ode_steps must be >= 1")
-        if self.heatmap_points < 1:
-            raise ConfigurationError("heatmap_points must be >= 1")
-        if not (0 <= self.eval_probe_t <= 1):
-            raise ConfigurationError("eval_probe_t must be in [0, 1]")
         if any(s < 1 or s > self.steps for s in self.eval_steps):
             raise ConfigurationError("eval_steps entries must lie in [1, steps]")
 

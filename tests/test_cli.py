@@ -255,6 +255,21 @@ class TestLifecycle:
         final.update({key: rep[key] for key in ("layer_cknna_a", "layer_cknna_b")})
         assert doc == final
 
+    def test_analyze_refuses_encoders_the_run_did_not_use(self, space, tmp_path):
+        # same manifest, another seed: the manifest check alone accepts it
+        cfg = json.loads(Path(space["config"]).read_text())
+        cfg["encoder_a"]["seed"] = 12
+        cfg_path = str(tmp_path / "seed12.json")
+        Path(cfg_path).write_text(json.dumps(cfg))
+        enc = str(tmp_path / "enc_a12.json")
+        argv = ["train-encoder", "--data", space["data"], "--out", enc, "--config", cfg_path]
+        assert main(argv) == 0
+        for encoders in (["--encoder-a", enc, "--encoder-b", space["enc_b"]],
+                         ["--encoder-a", space["enc_a"], "--encoder-b", space["enc_a"]]):
+            argv = ["analyze", "--run", space["run"], "--data", space["data"], *encoders]
+            with pytest.raises(IntegrityError, match="encoder-. was trained with another config"):
+                main(argv)
+
     def test_analyze_refuses_a_run_that_records_no_config(self, space, tmp_path):
         rep = json.loads((Path(space["run"]) / "report.json").read_text())
         del rep["config"]

@@ -146,6 +146,7 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             SpeakerEncoder(EncoderConfig(), n_classes=1)
 
-    def test_holdout_cannot_swallow_training(self, dataset):
+    def test_holdout_cannot_swallow_training(self, dataset, monkeypatch):
+        monkeypatch.setattr(EncoderConfig, "holdout_frac", 1.0)
         with pytest.raises(ConfigurationError):
-            train_encoder(dataset, EncoderConfig(holdout_frac=1.0))
+            train_encoder(dataset, EncoderConfig())

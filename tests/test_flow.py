@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowalign import tensor as tz
-from flowalign.errors import ConfigurationError, ShapeMismatchError
+from flowalign.errors import ConfigurationError, DomainError, ShapeMismatchError
 from flowalign.flow import (
     _CHUNK,
     FlowConfig,
@@ -112,6 +112,22 @@ class TestForward:
             model.forward(x_t, t, cond[:, :2], tokens, mask, lens)
         with pytest.raises(ShapeMismatchError):
             model.forward(x_t[..., :3], t, cond, tokens, mask, lens)
+        args = dict(x_t=x_t, t=t, cond=cond, cond_tokens=tokens, mask=mask, valid_len=lens)
+        B, T = mask.shape
+        malformed = [
+            {"mask": np.concatenate([mask, np.zeros((B, 1))], axis=1)},
+            {"mask": mask.T},
+            {"cond_tokens": tokens[:1]},
+            {"cond_tokens": tokens[:, 0]},
+            {"valid_len": lens[:, None]},
+            {"t": t[:1]},
+        ]
+        for bad in malformed:
+            with pytest.raises(ShapeMismatchError):
+                model.forward(**{**args, **bad})
+        for bad_lens in (np.array([9, 4]), np.array([6, -1])):
+            with pytest.raises(DomainError):
+                model.forward(x_t, t, cond, tokens, mask, bad_lens)
 
     def test_determinism(self):
         m1 = FlowModel(TINY)
@@ -291,6 +307,9 @@ class TestSampler:
         model = FlowModel(TINY)
         with pytest.raises(ConfigurationError):
             sample(model, batch, n_steps=0, seed=0)
+        batch.mask[1, 4] = 1.0  # item 1 has 4 valid frames
+        with pytest.raises(DomainError, match="padding"):
+            sample(model, batch, n_steps=1, seed=0)
 
 
 def reference_sample(model, batch, n_steps, seed):

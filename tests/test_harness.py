@@ -1,7 +1,7 @@
 """Orchestration: run determinism, ablation equivalences, artifacts, CLI."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -139,10 +139,10 @@ class TestRunArtifacts:
 
 
 class TestDiagnostics:
-    def test_blowup_raises_with_trace(self, workspace):
+    def test_blowup_raises_with_trace(self, workspace, monkeypatch):
+        monkeypatch.setattr(TrainConfig, "loss_blowup", 1e-6)
         with pytest.raises(TrainingDiagnosticsError) as exc:
-            exp = micro_experiment(loss_blowup=1e-6)
-            ws = Workspace(exp)
+            ws = Workspace(micro_experiment())
             ws.dataset = workspace.dataset
             ws.encoder_a, ws.encoder_b = workspace.encoder_a, workspace.encoder_b
             ws.run("baseline", seed=0)
@@ -224,15 +224,37 @@ class TestConfig:
             ExperimentConfig.from_dict({"data": {"speekers": 10}})
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict({"trainn": {}})
-        with pytest.raises(ConfigurationError, match="unknown align fields"):
-            ExperimentConfig.from_dict({"align": {"sa_source": "prompt"}})  # a removed field
+        # removed fields, and class constants that no config sets
+        removed = [
+            {"align": {"sa_source": "prompt"}},
+            {"train": {"lr": 1e-3}},
+            {"train": {"heatmap_points": 0}},
+            {"train": {"eval_mask_fraction": 0.3}},
+            {"encoder_a": {"holdout_frac": 0.2}},
+            {"encoder_b": {"weight_decay": 0.0}},
+        ]
+        for doc in removed:
+            section = next(iter(doc))
+            with pytest.raises(ConfigurationError, match=f"unknown {section} fields"):
+                ExperimentConfig.from_dict(doc)
 
-    def test_train_fields_checked(self):
-        TrainConfig(heatmap_points=1, eval_probe_t=0.0).validate()
-        TrainConfig(eval_probe_t=1.0).validate()
-        for bad in ({"heatmap_points": 0}, {"eval_probe_t": -0.1}, {"eval_probe_t": 1.5}):
-            with pytest.raises(ConfigurationError):
-                TrainConfig(**bad).validate()
+    def test_settable_fields(self):
+        """Only what a run varies is a field; the rest are class constants, read off an instance."""
+        assert [f.name for f in fields(TrainConfig)] == [
+            "steps", "batch_size", "time_gate_lr_mult", "adapter_lr_mult", "seed", "eval_steps",
+            "eval_utterances", "eval_ode_steps", "cknna_k",
+        ]
+        assert [f.name for f in fields(EncoderConfig)] == [
+            "feat_dim", "hidden", "embed_dim", "seed", "steps", "batch_size", "name",
+        ]
+        constants = {
+            TrainConfig: {"lr": 3e-3, "final_lr_frac": 0.1, "warmup_steps": 40,
+                          "weight_decay": 1e-4, "eval_mask_fraction": 0.5, "eval_probe_t": 0.5,
+                          "heatmap_points": 21, "loss_blowup": 1e4},
+            EncoderConfig: {"lr": 3e-3, "weight_decay": 1e-4, "holdout_frac": 0.1},
+        }
+        for cls, values in constants.items():
+            assert {name: getattr(cls(), name) for name in values} == values
 
     def test_cross_section_validation(self):
         exp = micro_experiment()
