@@ -48,7 +48,7 @@ class EncoderConfig:
 class SpeakerEncoder:
     """Mean-pool frames, two affine layers, unit-norm embedding, linear head."""
 
-    def __init__(self, config: EncoderConfig, n_classes: int, seed=None):
+    def __init__(self, config: EncoderConfig, n_classes: int):
         if n_classes < 2:
             raise ConfigurationError("need at least 2 classes")
         self.config = config
@@ -56,7 +56,7 @@ class SpeakerEncoder:
         self.frozen = False
         self.frozen_hash = None
         self.dataset_hash = None  # manifest the encoder was trained on, when known
-        rng = np.random.default_rng(config.seed if seed is None else seed)
+        rng = np.random.default_rng(config.seed)
         d, h, e = config.feat_dim, config.hidden, config.embed_dim
 
         def init(shape, fan_in):

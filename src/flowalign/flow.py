@@ -26,6 +26,14 @@ from .tensor import Tensor
 
 @dataclass
 class FlowConfig:
+    """The flow model's sizes and initialization seed.
+
+    ``n_blocks`` is also the alignment gate's output width. OpenBLAS's gemm
+    rounds a width 1-3 past a multiple of 8 differently in products of four
+    or more rows, so with ``n_blocks`` 9 to 11 a one-point heatmap may differ
+    in its last bits from the same row in a batch.
+    """
+
     feat_dim: int = 24
     hidden: int = 64
     n_blocks: int = 12
@@ -192,6 +200,8 @@ class FlowModel:
         ec the (B, hidden) time and identity embeddings.
         """
         x_t = np.asarray(x_t, dtype=np.float64)
+        if x_t.ndim != 3:
+            raise ShapeMismatchError(f"x_t must be (B, T, feat_dim), got {x_t.shape}")
         B, T, D = x_t.shape
         if D != self.config.feat_dim:
             raise ShapeMismatchError(f"feat_dim {D} != {self.config.feat_dim}")

@@ -95,36 +95,29 @@ def _f(x) -> str:
     return repr(float(x))
 
 
+def _csv_bytes(header: list, rows) -> bytes:
+    """CSV of string cells: the header, then each row, every line ending in a newline."""
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows]).encode("utf-8")
+
+
 def losses_csv_bytes(loss_rows) -> bytes:
-    lines = ["step,cfm,aux,total"]
-    for step, c, a, t in loss_rows:
-        lines.append(f"{step},{_f(c)},{_f(a)},{_f(t)}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _csv_bytes(
+        ["step", "cfm", "aux", "total"],
+        ([str(step), _f(c), _f(a), _f(t)] for step, c, a, t in loss_rows),
+    )
 
 
 def eval_csv_bytes(eval_rows) -> bytes:
     cols = ["step", "sim_a", "sim_b", "cknna_a_mean", "cknna_b_mean"]
-    lines = [",".join(cols)]
-    for row in eval_rows:
-        lines.append(
-            ",".join([str(row["step"])] + [_f(row[c]) for c in cols[1:]])
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _csv_bytes(cols, ([str(r["step"])] + [_f(r[c]) for c in cols[1:]] for r in eval_rows))
 
 
 def heatmap_csv_bytes(t_grid, heatmap) -> bytes:
-    n_layers = heatmap.shape[1]
-    lines = ["t," + ",".join(f"layer{i}" for i in range(n_layers))]
-    for t, row in zip(t_grid, heatmap):
-        lines.append(_f(t) + "," + ",".join(_f(v) for v in row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    header = ["t"] + [f"layer{i}" for i in range(heatmap.shape[1])]
+    return _csv_bytes(header, ([_f(t)] + [_f(v) for v in row] for t, row in zip(t_grid, heatmap)))
 
 
 # -- evaluation ----------------------------------------------------------------
-
-
-def _embed_rows(encoder: SpeakerEncoder, features: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    return np.asarray(encoder.embed(features, lens).data)
 
 
 def layer_representations(model, batch, t_value: float, noise: np.ndarray) -> list[np.ndarray]:
@@ -160,7 +153,7 @@ def cknna_eval(model, batch, encoders, t_value, noise, k) -> dict:
     reps = layer_representations(model, batch, t_value, noise)
     out = {}
     for name, enc in encoders.items():
-        ref = _embed_rows(enc, batch.x1, batch.valid_len)
+        ref = np.asarray(enc.embed(batch.x1, batch.valid_len).data)
         out[name] = layer_alignment(reps, ref, k=k)
     return out
 

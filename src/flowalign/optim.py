@@ -17,19 +17,17 @@ class AdamW:
     bit-for-bit untouched, which the ablation equivalence tests rely on.
     """
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's usual constants
+
     def __init__(
         self,
         params: dict[str, Tensor],
         lr: float = 3e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
         lr_scale: dict[str, float] | None = None,
     ):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         # Per-parameter lr multiplier, matched by name prefix.
         self.lr_scale = dict(lr_scale or {})

@@ -29,9 +29,9 @@ def params_payload(params: dict[str, Tensor], meta: dict | None = None) -> bytes
     return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 
-def params_hash(params: dict[str, Tensor], meta: dict | None = None) -> str:
-    """Content hash of a parameter set (meta excluded by default)."""
-    return sha256_bytes(params_payload(params, meta={} if meta is None else meta))
+def params_hash(params: dict[str, Tensor]) -> str:
+    """Content hash of a parameter set, without meta."""
+    return sha256_bytes(params_payload(params))
 
 
 def save_checkpoint(params: dict[str, Tensor], path, meta: dict | None = None) -> str:

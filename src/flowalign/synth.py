@@ -24,6 +24,8 @@ from .serialize import sha256_bytes
 PAD_TOKEN = -1
 
 _MAX_SPAN_RESAMPLES = 32
+MASK_FRACTION_RANGE = (0.3, 0.9)  # a training span's share of its utterance
+MIN_SPEAKER_ANGLE_DEG = 5.0
 
 
 @dataclass
@@ -80,10 +82,8 @@ class MixingMaps:
     identity_map: np.ndarray  # (latent_dim, feat_dim)
 
 
-def make_speakers(
-    count: int, dim: int, seed, min_angle_deg: float = 5.0
-) -> list[SpeakerSpec]:
-    """Sample ``count`` unit-norm latents with pairwise angles above the floor.
+def make_speakers(count: int, dim: int, seed) -> list[SpeakerSpec]:
+    """Sample ``count`` unit-norm latents at least ``MIN_SPEAKER_ANGLE_DEG`` apart.
 
     Violating vectors are resampled; if the sphere cannot accommodate the
     requested packing the loop gives up with a configuration error.
@@ -93,7 +93,7 @@ def make_speakers(
     if dim < 2:
         raise ConfigurationError("latent_dim must be >= 2")
     rng = np.random.default_rng(seed)
-    cos_floor = np.cos(np.deg2rad(min_angle_deg))
+    cos_floor = np.cos(np.deg2rad(MIN_SPEAKER_ANGLE_DEG))
     latents = rng.normal(size=(count, dim))
     latents /= np.linalg.norm(latents, axis=1, keepdims=True)
     for _ in range(200 * count):
@@ -105,7 +105,7 @@ def make_speakers(
         v = rng.normal(size=dim)
         latents[bad[0]] = v / np.linalg.norm(v)
     raise ConfigurationError(
-        f"cannot pack {count} latents in {dim} dims with {min_angle_deg} deg separation"
+        f"cannot pack {count} latents in {dim} dims with {MIN_SPEAKER_ANGLE_DEG} deg separation"
     )
 
 
@@ -218,39 +218,22 @@ class TrainBatch:
     prompt_features: np.ndarray  # (B, T_p, feat_dim) gathered unmasked frames
     prompt_len: np.ndarray  # (B,)
     span: np.ndarray  # (B, 2) masked [start, end) per item
-    fraction_range: tuple[float, float] = (0.3, 0.9)
-
-    def validate(self):
-        B, T = self.mask.shape
-        if np.any(self.mask * (np.arange(T)[None, :] >= self.valid_len[:, None])):
-            raise DomainError("mask covers padding frames")
-        frac = self.mask.sum(axis=1) / self.valid_len
-        lo, hi = self.fraction_range
-        # round() during span sizing can nudge the realised fraction by
-        # one frame relative to the requested range
-        slack = 1.0 / self.valid_len
-        if np.any(frac > hi + slack) or np.any(frac < max(lo - slack.max(), 0.0)):
-            raise DomainError("masked fraction outside the configured range")
 
 
-def pad_stack(arrays: list[np.ndarray], pad_value=0.0) -> np.ndarray:
-    """Stack variable-length leading-axis arrays, padding with ``pad_value``."""
+def pad_stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Stack variable-length leading-axis arrays, padding with zeros."""
     n = len(arrays)
     t = max(a.shape[0] for a in arrays)
-    out = np.full((n, t) + arrays[0].shape[1:], pad_value, dtype=np.float64)
+    out = np.zeros((n, t) + arrays[0].shape[1:], dtype=np.float64)
     for i, a in enumerate(arrays):
         out[i, : a.shape[0]] = a
     return out
 
 
-def _draw_span(length: int, fraction_range, rng) -> tuple[int, int]:
-    lo, hi = fraction_range
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise ConfigurationError(f"bad mask fraction range [{lo}, {hi}]")
+def _draw_span(length: int, rng) -> tuple[int, int]:
+    lo, hi = MASK_FRACTION_RANGE
     for _ in range(_MAX_SPAN_RESAMPLES):
-        frac = rng.uniform(lo, hi) if hi > lo else lo
-        span = int(round(frac * length))
-        span = max(1, span)
+        span = max(1, int(round(rng.uniform(lo, hi) * length)))
         if span >= length:
             continue  # a fully masked item has no prompt; resample
         start = int(rng.integers(0, length - span + 1))
@@ -260,7 +243,7 @@ def _draw_span(length: int, fraction_range, rng) -> tuple[int, int]:
     )
 
 
-def _build_batch(utterances: list[Utterance], encoder, spans, fraction_range) -> TrainBatch:
+def _build_batch(utterances: list[Utterance], encoder, spans) -> TrainBatch:
     """Pad the items, mask each one's [s, e) span and embed the rest as its prompt."""
     if not utterances:
         raise DegenerateInputError("a batch needs at least one utterance")
@@ -292,24 +275,18 @@ def _build_batch(utterances: list[Utterance], encoder, spans, fraction_range) ->
         prompt_features=prompt_features,
         prompt_len=prompt_len,
         span=span,
-        fraction_range=tuple(fraction_range),
     )
 
 
-def make_batch(
-    utterances: list[Utterance],
-    encoder,
-    seed,
-    mask_fraction_range: tuple[float, float] = (0.3, 0.9),
-) -> TrainBatch:
+def make_batch(utterances: list[Utterance], encoder, seed) -> TrainBatch:
     """Batch utterances with one contiguous masked span per item.
 
     The condition vector is ``encoder.embed`` applied to each item's
     unmasked frames, exactly the prompt a zero-shot sampler would see.
     """
     rng = np.random.default_rng(seed)
-    spans = [_draw_span(u.valid_len, mask_fraction_range, rng) for u in utterances]
-    return _build_batch(utterances, encoder, spans, mask_fraction_range)
+    spans = [_draw_span(u.valid_len, rng) for u in utterances]
+    return _build_batch(utterances, encoder, spans)
 
 
 def make_eval_batch(
@@ -325,7 +302,7 @@ def make_eval_batch(
         (max(1, u.valid_len - int(round(fraction * u.valid_len))), u.valid_len)
         for u in utterances
     ]
-    return _build_batch(utterances, encoder, spans, (fraction, fraction))
+    return _build_batch(utterances, encoder, spans)
 
 
 # -- manifest I/O --------------------------------------------------------------

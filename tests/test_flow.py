@@ -115,6 +115,7 @@ class TestForward:
         args = dict(x_t=x_t, t=t, cond=cond, cond_tokens=tokens, mask=mask, valid_len=lens)
         B, T = mask.shape
         malformed = [
+            {"x_t": x_t[0]},
             {"mask": np.concatenate([mask, np.zeros((B, 1))], axis=1)},
             {"mask": mask.T},
             {"cond_tokens": tokens[:1]},

@@ -1,5 +1,6 @@
 """Orchestration: run determinism, ablation equivalences, artifacts, CLI."""
 
+import inspect
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -255,6 +256,26 @@ class TestConfig:
         }
         for cls, values in constants.items():
             assert {name: getattr(cls(), name) for name in values} == values
+
+    def test_settable_parameters(self):
+        """Functions take only what some caller varies; the values no caller set are constants."""
+        from flowalign import optim, serialize, synth, tensor
+        from flowalign.encoder import SpeakerEncoder
+
+        params = {
+            synth.make_batch: ["utterances", "encoder", "seed"],
+            synth.make_speakers: ["count", "dim", "seed"],
+            synth.pad_stack: ["arrays"],
+            SpeakerEncoder.__init__: ["self", "config", "n_classes"],
+            optim.AdamW.__init__: ["self", "params", "lr", "weight_decay", "lr_scale"],
+            serialize.params_hash: ["params"],
+            tensor.check_gradients: ["f", "x"],
+        }
+        for fn, names in params.items():
+            assert list(inspect.signature(fn).parameters) == names, fn.__qualname__
+        assert synth.MASK_FRACTION_RANGE == (0.3, 0.9)
+        assert synth.MIN_SPEAKER_ANGLE_DEG == 5.0
+        assert (optim.AdamW.beta1, optim.AdamW.beta2, optim.AdamW.eps) == (0.9, 0.999, 1e-8)
 
     def test_cross_section_validation(self):
         exp = micro_experiment()
