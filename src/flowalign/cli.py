@@ -81,7 +81,9 @@ def cmd_train(args) -> int:
         ws.encoder_a = _load_encoder(args.encoder_a, ws.dataset_hash)
     if args.encoder_b:
         ws.encoder_b = _load_encoder(args.encoder_b, ws.dataset_hash)
-    result = ws.run(args.mode, args.seed, out_dir=args.out)
+    mode = exp.align.mode if args.mode is None else args.mode
+    seed = exp.train.seed if args.seed is None else args.seed
+    result = ws.run(mode, seed, out_dir=args.out)
     print(f"mode {result.mode} seed {result.seed}")
     print(f"final cfm {result.loss_rows[-1][1]:.6f} total {result.loss_rows[-1][3]:.6f}")
     print(f"sim_a {result.final_sim_a:.4f} sim_b {result.final_sim_b:.4f}")
@@ -193,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train_encoder)
 
     p = sub.add_parser("train", help="train the flow model in one mode")
-    p.add_argument("--mode", choices=MODES, default="layer_time")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=MODES, help="default: the config's align.mode")
+    p.add_argument("--seed", type=int, help="default: the config's train.seed")
     p.add_argument("--data")
     p.add_argument("--encoder-a")
     p.add_argument("--encoder-b")

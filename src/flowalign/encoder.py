@@ -76,18 +76,15 @@ class SpeakerEncoder:
         e = tz.affine(h, self.params["w2"], self.params["b2"])
         return tz.l2_normalize(e)
 
-    def _pool(self, features: np.ndarray, valid_len) -> Tensor:
+    def embed(self, features: np.ndarray, valid_len) -> Tensor:
+        """Unit-norm identity embedding of shape (B, embed_dim). No graph."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 3 or features.shape[-1] != self.config.feat_dim:
             raise ShapeMismatchError(
                 f"expected (B, T, {self.config.feat_dim}) features, got {features.shape}"
             )
-        return tz.mean_pool_time(Tensor(features), np.asarray(valid_len))
-
-    def embed(self, features: np.ndarray, valid_len) -> Tensor:
-        """Unit-norm identity embedding of shape (B, embed_dim). No graph."""
         with tz.no_grad():
-            return self._embed_graph(self._pool(features, valid_len))
+            return self._embed_graph(tz.mean_pool_time(Tensor(features), np.asarray(valid_len)))
 
     def logits(self, pooled: Tensor) -> Tensor:
         e = self._embed_graph(pooled)

@@ -188,17 +188,6 @@ class FlowModel:
         block's rows as the block returns and at most two blocks' rows are
         alive at once.
         """
-        h, seg, frames, lead, et, ec = self._rows(x_t, t, cond, cond_tokens, mask, valid_len)
-        return Taps(self, h, et, ec, seg, frames, lead)
-
-    def _rows(self, x_t, t, cond, cond_tokens, mask, valid_len) -> tuple:
-        """The trunk's input rows and what every block needs.
-
-        Returns (h, seg, frames, (B, T), et, ec): h the (N, hidden) input
-        rows of the valid frames, item after item, grouped by ``seg``;
-        ``frames`` their flat positions in the padded (B, T) batch; et and
-        ec the (B, hidden) time and identity embeddings.
-        """
         x_t = np.asarray(x_t, dtype=np.float64)
         if x_t.ndim != 3:
             raise ShapeMismatchError(f"x_t must be (B, T, feat_dim), got {x_t.shape}")
@@ -238,7 +227,7 @@ class FlowModel:
             tz.tanh(tz.affine(tfeat, p["time_w1"], p["time_b1"])), p["time_w2"], p["time_b2"]
         )
         ec = tz.affine(Tensor(np.asarray(cond, dtype=np.float64)), p["cond_w"], p["cond_b"])
-        return h, seg, frames, (B, T), et, ec
+        return Taps(self, h, et, ec, seg, frames, (B, T))
 
     def _blocks(self, h, et, ec, seg):
         """Yields the rows after each block in turn, keeping none of them."""

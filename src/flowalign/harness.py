@@ -85,7 +85,6 @@ class RunResult:
     trunk_hash: str
     wall_seconds: float
     config: ExperimentConfig  # the run's inputs, as validated by train_run
-    out_dir: str | None = None
     dataset_hash: str | None = None
     model: object = None
     head: object = None
@@ -366,7 +365,6 @@ def _write_run(result: RunResult, t_grid, out_dir):
         (out / "heatmap_final.csv").write_bytes(heatmap_csv_bytes(t_grid, h1))
         report["heatmap_tv_from_initial"] = heatmap_tv(h0, h1)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    result.out_dir = str(out)
 
 
 # -- analysis helpers -----------------------------------------------------------
@@ -496,9 +494,9 @@ class Workspace:
     def load_dataset(self, in_dir):
         self.dataset, self.dataset_hash = read_manifest(in_dir)
 
-    def run(self, mode: str, seed: int, out_dir=None, **align_overrides) -> RunResult:
+    def run(self, mode: str, seed: int, out_dir=None) -> RunResult:
         enc_a, enc_b = self.ensure_encoders()
-        align = AlignConfig(**{**asdict(self.exp.align), "mode": mode, **align_overrides})
+        align = AlignConfig(**{**asdict(self.exp.align), "mode": mode})
         train = TrainConfig(**{**asdict(self.exp.train), "seed": seed})
         return train_run(
             self.ensure_dataset(),

@@ -29,17 +29,12 @@ class AdamW:
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        # Per-parameter lr multiplier, matched by name prefix.
-        self.lr_scale = dict(lr_scale or {})
+        scale = lr_scale or {}  # a name's lr multiplier is that of its first prefix here
+        self._mult = {k: next((s for pre, s in scale.items() if k.startswith(pre)), 1.0)
+                      for k in self.params}
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._t = {k: 0 for k in self.params}
-
-    def _scale_for(self, name: str) -> float:
-        for prefix, s in self.lr_scale.items():
-            if name.startswith(prefix):
-                return s
-        return 1.0
 
     def step(self, lr: float | None = None):
         base = self.lr if lr is None else lr
@@ -57,7 +52,7 @@ class AdamW:
             v += (1.0 - self.beta2) * (g * g)
             mhat = m / (1.0 - self.beta1**t)
             vhat = v / (1.0 - self.beta2**t)
-            eta = base * self._scale_for(name)
+            eta = base * self._mult[name]
             p.data -= eta * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data)
 
     def zero_grad(self):

@@ -41,34 +41,45 @@ def save_checkpoint(params: dict[str, Tensor], path, meta: dict | None = None) -
     return sha256_bytes(payload)
 
 
-def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
-    doc = json.loads(Path(path).read_text())
-    params = {k: tensor_from_json(v) for k, v in doc["params"].items()}
-    return params, doc.get("meta", {})
-
-
 def load_strict(path, kind: str, config_cls, build):
     """Rebuild an object from its checkpoint; returns (object, meta).
 
     ``build(config, meta)`` makes a fresh object whose ``params`` fix the
-    expected names and shapes. The checkpoint must be of ``kind``, its
-    meta config may only hold fields of ``config_cls``, and its parameters
-    must match the fresh ones name for name and shape for shape.
+    expected names and shapes. The checkpoint must be a JSON object of
+    ``kind`` with a ``params`` object, its meta config may only hold fields
+    of ``config_cls``, its meta must hold what ``build`` reads, and its
+    parameters must match the fresh ones name for name and shape for shape,
+    each with as many values as its shape. Any other file raises
+    ``IntegrityError``.
     """
-    params, meta = load_checkpoint(path)
+    try:
+        doc = json.loads(Path(path).read_bytes())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise IntegrityError(f"{path} is not a JSON checkpoint: {e}") from e
+    if not isinstance(doc, dict) or not isinstance(doc.get("params"), dict):
+        raise IntegrityError(f"{path} holds no params")
+    meta = doc.get("meta", {})
     if meta.get("kind") != kind:
         raise IntegrityError(f"not a {kind} checkpoint: {meta.get('kind')}")
     config = meta.get("config", {})
     unknown = set(config) - {f.name for f in dataclasses.fields(config_cls)}
     if unknown:
         raise IntegrityError(f"{kind} checkpoint has unknown config fields: {sorted(unknown)}")
-    obj = build(config_cls(**config), meta)
+    try:
+        obj = build(config_cls(**config), meta)
+    except KeyError as e:
+        raise IntegrityError(f"{kind} checkpoint meta has no {e}") from e
+    params = doc["params"]
     if set(params) != set(obj.params):
         raise IntegrityError(
             f"{kind} checkpoint parameters differ: missing {sorted(set(obj.params) - set(params))},"
             f" unexpected {sorted(set(params) - set(obj.params))}"
         )
     for k, v in params.items():
+        try:
+            v = tensor_from_json(v)
+        except (KeyError, TypeError, ValueError) as e:
+            raise IntegrityError(f"{kind} parameter {k} is malformed: {e}") from e
         want = obj.params[k].shape
         if v.shape != want:
             raise IntegrityError(f"{kind} parameter {k} has shape {v.shape}, expected {want}")

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, DomainError
+from .errors import ConfigurationError, DegenerateInputError, DomainError, IntegrityError
 from .serialize import sha256_bytes
 
 PAD_TOKEN = -1
@@ -365,12 +365,20 @@ def write_manifest(dataset: SynthDataset, out_dir) -> str:
 
 
 def read_manifest(in_dir) -> tuple[SynthDataset, str]:
-    """Load a dataset directory; returns (dataset, dataset_hash)."""
+    """Load a dataset directory; returns (dataset, dataset_hash).
+
+    A header config with a field ``DatasetConfig`` lacks, or a record whose
+    bytes do not hold its ``valid_len`` frames inside the feature blob,
+    raises ``IntegrityError``.
+    """
     src = Path(in_dir)
     manifest_bytes = (src / "manifest.jsonl").read_bytes()
     blob = (src / "features.bin").read_bytes()
     lines = manifest_bytes.decode("utf-8").splitlines()
     header = json.loads(lines[0])
+    unknown = set(header["config"]) - {f.name for f in fields(DatasetConfig)}
+    if unknown:
+        raise IntegrityError(f"manifest config has unknown fields: {sorted(unknown)}")
     config = DatasetConfig(**header["config"])
     spk_by_split = {"train": [], "test": []}
     for s in header["speakers"]:
@@ -385,9 +393,15 @@ def read_manifest(in_dir) -> tuple[SynthDataset, str]:
     splits = {"train": [], "test": []}
     for line in lines[1:]:
         rec = json.loads(line)
+        offset, nbytes, n = rec["offset"], rec["nbytes"], rec["valid_len"]
+        if nbytes != n * config.feat_dim * 8 or not 0 <= offset <= len(blob) - nbytes:
+            raise IntegrityError(
+                f"manifest record at offset {offset} does not hold {n} frames"
+                f" of the {len(blob)}-byte feature blob"
+            )
         feats = np.frombuffer(
-            blob, dtype="<f8", count=rec["nbytes"] // 8, offset=rec["offset"]
-        ).reshape(rec["valid_len"], config.feat_dim)
+            blob, dtype="<f8", count=nbytes // 8, offset=offset
+        ).reshape(n, config.feat_dim)
         splits[rec["split"]].append(
             Utterance(
                 rec["speaker_id"],

@@ -208,6 +208,7 @@ class TestGradients:
         assert elapsed < GRAD_BUDGET_S, f"gradient suite took {elapsed:.0f}s"
 
 
+@pytest.mark.slow
 class TestLossIdentities:
     def test_analytic_identities(self, zero_pair):
         """A perfect prediction has zero reconstruction loss; a uniform gate
@@ -286,6 +287,7 @@ def zero_pair(lab):
     return base, zero
 
 
+@pytest.mark.slow
 class TestZeroWeightEquivalence:
     def test_zero_weight_run_is_bitwise_baseline(self, zero_pair):
         """With the auxiliary weight at zero, the adaptive mode consumes the
@@ -328,6 +330,7 @@ def mode_means(results, attr):
     return {m: float(np.mean([getattr(r, attr) for r in results[m]])) for m in MODES}
 
 
+@pytest.mark.slow
 class TestExperiment:
     def test_adaptive_mode_improves_similarity(self, lab):
         """Across five paired seeds the gated adaptive mode must beat the
@@ -425,6 +428,7 @@ class TestExperiment:
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.slow
 class TestReproducibility:
     def test_identical_runs_identical_bytes(self, lab, tmp_path):
         """The same configuration and seeds must reproduce the dataset hash

@@ -336,6 +336,21 @@ class TestLifecycle:
         with pytest.raises(IntegrityError):
             main(["train", *other["encoders"], "--config", space["config"]])
 
+    def test_train_takes_mode_and_seed_from_the_config_unless_flagged(self, space, tmp_path):
+        cfg = json.loads(Path(space["config"]).read_text())
+        cfg["align"], cfg["train"]["seed"] = {"mode": "baseline"}, 2
+        cfg_path = tmp_path / "baseline2.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["train", "--data", space["data"], "--encoder-a", space["enc_a"],
+                "--encoder-b", space["enc_b"], "--config", str(cfg_path)]
+        for flags, seed in (([], 2), (["--seed", "5"], 5)):
+            out = tmp_path / f"run{seed}"
+            assert main(argv + flags + ["--out", str(out)]) == 0
+            rep = json.loads((out / "report.json").read_text())
+            assert (rep["mode"], rep["seed"]) == ("baseline", seed)
+            assert rep["config"]["align"]["mode"] == "baseline"
+            assert rep["config"]["train"]["seed"] == seed
+
     def test_unknown_mode_rejected(self, space):
         with pytest.raises(SystemExit):
             main(["train", "--mode", "bogus"])

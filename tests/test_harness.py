@@ -79,7 +79,11 @@ class TestAblationEquivalences:
         """Disabling the auxiliary weight must reproduce the baseline run
         exactly: same loss bytes, same trunk parameters."""
         base = workspace.run("baseline", seed=3)
-        off = workspace.run("layer_time", seed=3, lam=0.0)
+        tc = TrainConfig(**{**asdict(workspace.exp.train), "seed": 3})
+        off = train_run(
+            workspace.dataset, workspace.encoder_a, workspace.encoder_b, workspace.exp.flow,
+            AlignConfig(mode="layer_time", lam=0.0), tc,
+        )
         assert losses_csv_bytes(base.loss_rows) == losses_csv_bytes(off.loss_rows)
         assert base.trunk_hash == off.trunk_hash
 
@@ -270,6 +274,7 @@ class TestConfig:
             optim.AdamW.__init__: ["self", "params", "lr", "weight_decay", "lr_scale"],
             serialize.params_hash: ["params"],
             tensor.check_gradients: ["f", "x"],
+            Workspace.run: ["self", "mode", "seed", "out_dir"],
         }
         for fn, names in params.items():
             assert list(inspect.signature(fn).parameters) == names, fn.__qualname__

@@ -51,6 +51,24 @@ def _unknown_config_field(doc):
     doc["meta"]["config"]["sandwich"] = False
 
 
+def _short_data(doc):
+    doc["params"][sorted(doc["params"])[0]]["data"].pop()
+
+
+def _meta_only_kind(doc):
+    # the head's n_layers and the encoder's n_classes go; the flow model falls
+    # back to a default config of other shapes
+    doc["meta"] = {"kind": doc["meta"]["kind"]}
+
+
+def _no_params(doc):
+    del doc["params"]
+
+
+def _not_json(doc):
+    return json.dumps(doc)[:-1]
+
+
 @pytest.mark.parametrize("which", sorted(SMALL))
 def test_untampered_checkpoint_loads(which, tmp_path):
     build, load = SMALL[which]
@@ -60,7 +78,9 @@ def test_untampered_checkpoint_loads(which, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "tamper", [_wrong_kind, _missing_param, _extra_param, _wrong_shape, _unknown_config_field]
+    "tamper",
+    [_wrong_kind, _missing_param, _extra_param, _wrong_shape, _unknown_config_field,
+     _short_data, _meta_only_kind, _no_params, _not_json],
 )
 @pytest.mark.parametrize("which", sorted(SMALL))
 def test_loader_rejects_bad_checkpoint(which, tamper, tmp_path):
@@ -68,7 +88,6 @@ def test_loader_rejects_bad_checkpoint(which, tamper, tmp_path):
     path = tmp_path / "ck.json"
     build().save(path)
     doc = json.loads(path.read_text())
-    tamper(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(tamper(doc) or json.dumps(doc))  # a tamper may return the file's text
     with pytest.raises(IntegrityError):
         load(path)

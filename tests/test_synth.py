@@ -1,9 +1,11 @@
 """Synthetic data: determinism, masking invariants, decodability, manifests."""
 
+import json
+
 import numpy as np
 import pytest
 
-from flowalign.errors import ConfigurationError, DegenerateInputError, DomainError
+from flowalign.errors import ConfigurationError, DegenerateInputError, DomainError, IntegrityError
 from flowalign.synth import (
     PAD_TOKEN,
     DatasetConfig,
@@ -268,3 +270,32 @@ class TestManifest:
         h1 = write_manifest(generate_dataset(SMALL), tmp_path / "a")
         h2 = write_manifest(generate_dataset(SMALL), tmp_path / "b")
         assert h1 == h2
+
+
+def _unknown_config_key(manifest, blob):
+    header = json.loads(manifest[0])
+    header["config"]["sandwich"] = False
+    return [json.dumps(header), *manifest[1:]], blob
+
+
+def _valid_len_off_its_bytes(manifest, blob):
+    rec = json.loads(manifest[1])
+    rec["valid_len"] -= 1
+    return [manifest[0], json.dumps(rec), *manifest[2:]], blob
+
+
+def _short_blob(manifest, blob):
+    return manifest, blob[:-8]
+
+
+@pytest.mark.parametrize("tamper", [_unknown_config_key, _valid_len_off_its_bytes, _short_blob])
+def test_malformed_manifest_rejected(tamper, tmp_path):
+    write_manifest(generate_dataset(SMALL), tmp_path)
+    manifest, blob = tamper(
+        (tmp_path / "manifest.jsonl").read_text().splitlines(),
+        (tmp_path / "features.bin").read_bytes(),
+    )
+    (tmp_path / "manifest.jsonl").write_text("\n".join(manifest) + "\n")
+    (tmp_path / "features.bin").write_bytes(blob)
+    with pytest.raises(IntegrityError):
+        read_manifest(tmp_path)

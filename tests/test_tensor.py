@@ -56,12 +56,6 @@ class TestBackwardMechanics:
         y.backward()
         np.testing.assert_array_equal(x.grad, [7.0])
 
-    def test_detach_cuts_graph(self):
-        x = Tensor([2.0], requires_grad=True)
-        y = (x.detach() * x).sum()
-        y.backward()
-        np.testing.assert_array_equal(x.grad, [2.0])  # only the live factor
-
     def test_second_backward_adds_the_same_leaf_gradients(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         w = Tensor([[0.5, -1.0], [2.0, 0.25]], requires_grad=True)
