@@ -11,15 +11,15 @@ to align.
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, IntegrityError
-from .serialize import sha256_bytes
+from .serialize import config_from_json, feed
 
 PAD_TOKEN = -1
 
@@ -308,10 +308,19 @@ def make_eval_batch(
 # -- manifest I/O --------------------------------------------------------------
 
 
-def _manifest_bytes(dataset: SynthDataset) -> tuple[bytes, bytes]:
-    """The manifest.jsonl and features.bin bytes of a dataset."""
-    blob = io.BytesIO()
-    lines = []
+def _utterances(dataset: SynthDataset):
+    """(split, utterance) in manifest order: the train split, then the test split."""
+    for split, group in (("train", dataset.train), ("test", dataset.test)):
+        for u in group:
+            yield split, u
+
+
+def _manifest_lines(dataset: SynthDataset):
+    """manifest.jsonl's lines in file order, each with its newline, as bytes.
+
+    A record's ``offset`` is the running sum of the ``nbytes`` before it, so
+    the records cover features.bin in order, end to end.
+    """
     header = {
         "kind": "synth-identity-sequences",
         "config": asdict(dataset.config),
@@ -327,59 +336,74 @@ def _manifest_bytes(dataset: SynthDataset) -> tuple[bytes, bytes]:
             "identity_map": dataset.maps.identity_map.tolist(),
         },
     }
-    lines.append(json.dumps(header, sort_keys=True))
-    for split, group in (("train", dataset.train), ("test", dataset.test)):
-        for u in group:
-            offset = blob.tell()
-            raw = u.features.astype("<f8").tobytes()
-            blob.write(raw)
-            lines.append(
-                json.dumps(
-                    {
-                        "split": split,
-                        "speaker_id": int(u.speaker_id),
-                        "tokens": [int(t) for t in u.content_tokens],
-                        "valid_len": int(u.valid_len),
-                        "offset": offset,
-                        "nbytes": len(raw),
-                    },
-                    sort_keys=True,
-                )
-            )
-    return ("\n".join(lines) + "\n").encode("utf-8"), blob.getvalue()
+    yield (json.dumps(header, sort_keys=True) + "\n").encode()
+    offset = 0
+    for split, u in _utterances(dataset):
+        nbytes = 8 * u.features.size
+        rec = {
+            "split": split,
+            "speaker_id": int(u.speaker_id),
+            "tokens": [int(t) for t in u.content_tokens],
+            "valid_len": int(u.valid_len),
+            "offset": offset,
+            "nbytes": nbytes,
+        }
+        yield (json.dumps(rec, sort_keys=True) + "\n").encode()
+        offset += nbytes
+
+
+def _feature_pieces(dataset: SynthDataset):
+    """features.bin in file order: each utterance's frames as little-endian float64."""
+    for _, u in _utterances(dataset):
+        yield u.features.astype("<f8").tobytes()
 
 
 def manifest_hash(dataset: SynthDataset) -> str:
     """The hash ``write_manifest`` returns for ``dataset``, with nothing written."""
-    return sha256_bytes(b"".join(_manifest_bytes(dataset)))
+    digest = hashlib.sha256()
+    feed(digest, _manifest_lines(dataset))
+    feed(digest, _feature_pieces(dataset))
+    return digest.hexdigest()
 
 
 def write_manifest(dataset: SynthDataset, out_dir) -> str:
-    """Write manifest.jsonl plus a binary feature blob; returns dataset hash."""
-    manifest_bytes, blob = _manifest_bytes(dataset)
+    """Write manifest.jsonl plus a binary feature blob; returns dataset hash.
+
+    The hash is the SHA-256 of manifest.jsonl's bytes followed by
+    features.bin's, fed as they are written.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.jsonl").write_bytes(manifest_bytes)
-    (out / "features.bin").write_bytes(blob)
-    return sha256_bytes(manifest_bytes + blob)
+    digest = hashlib.sha256()
+    with open(out / "manifest.jsonl", "wb") as f:
+        feed(digest, _manifest_lines(dataset), f.write)
+    with open(out / "features.bin", "wb") as f:
+        feed(digest, _feature_pieces(dataset), f.write)
+    return digest.hexdigest()
 
 
 def read_manifest(in_dir) -> tuple[SynthDataset, str]:
     """Load a dataset directory; returns (dataset, dataset_hash).
 
-    A header config with a field ``DatasetConfig`` lacks, or a record whose
-    bytes do not hold its ``valid_len`` frames inside the feature blob,
-    raises ``IntegrityError``.
+    A line that is not JSON, a header config with a field ``DatasetConfig``
+    lacks, a value of the wrong type or a combination ``validate`` refuses,
+    a record whose bytes do not hold its ``valid_len`` frames right after
+    the record before it, and a feature blob with bytes no record holds
+    raise ``IntegrityError``. The hash is fed with the manifest's lines and
+    then each record's bytes as they are read, so it is the SHA-256 of the
+    two files.
     """
     src = Path(in_dir)
-    manifest_bytes = (src / "manifest.jsonl").read_bytes()
-    blob = (src / "features.bin").read_bytes()
-    lines = manifest_bytes.decode("utf-8").splitlines()
-    header = json.loads(lines[0])
-    unknown = set(header["config"]) - {f.name for f in fields(DatasetConfig)}
-    if unknown:
-        raise IntegrityError(f"manifest config has unknown fields: {sorted(unknown)}")
-    config = DatasetConfig(**header["config"])
+    digest = hashlib.sha256()
+    with open(src / "manifest.jsonl", "rb") as f:
+        lines = list(f)
+    feed(digest, lines)
+    try:
+        header, *records = [json.loads(line) for line in lines]
+        config = config_from_json(DatasetConfig, header["config"], "manifest")
+        config.validate()
+    except (ValueError, KeyError, TypeError) as e:  # ConfigurationError is a ValueError
+        raise IntegrityError(f"{src / 'manifest.jsonl'} has a malformed line: {e}") from e
     spk_by_split = {"train": [], "test": []}
     for s in header["speakers"]:
         spk_by_split[s["split"]].append(
@@ -391,26 +415,30 @@ def read_manifest(in_dir) -> tuple[SynthDataset, str]:
         np.array(header["maps"]["identity_map"], dtype=np.float64),
     )
     splits = {"train": [], "test": []}
-    for line in lines[1:]:
-        rec = json.loads(line)
-        offset, nbytes, n = rec["offset"], rec["nbytes"], rec["valid_len"]
-        if nbytes != n * config.feat_dim * 8 or not 0 <= offset <= len(blob) - nbytes:
-            raise IntegrityError(
-                f"manifest record at offset {offset} does not hold {n} frames"
-                f" of the {len(blob)}-byte feature blob"
+    end = 0  # bytes of features.bin read so far
+    with open(src / "features.bin", "rb") as blob:
+        for rec in records:
+            offset, nbytes, n = rec["offset"], rec["nbytes"], rec["valid_len"]
+            fits = offset == end and n >= 0 and nbytes == 8 * n * config.feat_dim
+            feats = np.empty((n if fits else 0, config.feat_dim), dtype="<f8")
+            if not fits or blob.readinto(feats) != nbytes:
+                raise IntegrityError(
+                    f"manifest record at offset {offset} does not hold the {n} frames"
+                    f" at byte {end} of features.bin"
+                )
+            digest.update(feats)
+            end += nbytes
+            splits[rec["split"]].append(
+                Utterance(
+                    rec["speaker_id"],
+                    np.array(rec["tokens"], dtype=np.int64),
+                    feats,
+                    rec["valid_len"],
+                )
             )
-        feats = np.frombuffer(
-            blob, dtype="<f8", count=nbytes // 8, offset=offset
-        ).reshape(n, config.feat_dim)
-        splits[rec["split"]].append(
-            Utterance(
-                rec["speaker_id"],
-                np.array(rec["tokens"], dtype=np.int64),
-                feats.copy(),
-                rec["valid_len"],
-            )
-        )
+        if blob.read(1):
+            raise IntegrityError(f"features.bin holds bytes past the {end} its records hold")
     ds = SynthDataset(
         config, spk_by_split["train"], spk_by_split["test"], splits["train"], splits["test"], maps
     )
-    return ds, sha256_bytes(manifest_bytes + blob)
+    return ds, digest.hexdigest()

@@ -14,7 +14,7 @@ throughout the test suite to verify every analytic gradient.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +61,8 @@ class Tensor:
             operation made) keep it: a node an operation made drops its
             ``grad`` once the pass has handed it to the node's inputs, so
             a second backward over the same graph adds the same amount to
-            the leaves again.
+            the leaves again. While a pass runs, such a node's ``grad`` may
+            be held per item (``_PerItem``) until its backward reads it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -115,7 +116,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                node._backward(_dense(node.grad))
                 node.grad = None
 
     # -- operators -----------------------------------------------------------
@@ -156,9 +157,29 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, piece: np.ndarray):
+class _PerItem(NamedTuple):
+    """A gradient piece equal over each item's rows: row r of its dense
+    (N, K) form is ``values[seg.item[r]]`` for ``values`` (B, K)."""
+
+    values: np.ndarray
+    seg: Segments
+
+
+def _dense(grad):
+    return grad.values[grad.seg.item] if isinstance(grad, _PerItem) else grad
+
+
+def _accumulate(t: Tensor, piece):
+    """Adds ``piece``, an array or a ``_PerItem``, to ``t.grad``.
+
+    A per-item piece that is the first to reach a node an operation made
+    stays (B, K) until a dense piece follows it or the node's backward runs;
+    the sums are those of the dense pieces in arrival order, bit for bit.
+    """
     # Gradients are never mutated in place, so holding a reference is safe.
-    t.grad = piece if t.grad is None else t.grad + piece
+    if isinstance(piece, _PerItem) and (t.grad is not None or t._backward is None):
+        piece = _dense(piece)  # it joins a sum, or reaches a leaf, whose grad is rows
+    t.grad = piece if t.grad is None else _dense(t.grad) + piece
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -375,7 +396,8 @@ def segment_mean(x: Tensor, seg: Segments) -> Tensor:
     """Mean of each item's rows of x (N, D), (B, D).
 
     With D >= 2 it equals ``mean_pool_time`` of the padded (B, T, D) array
-    bit for bit, values and gradient.
+    bit for bit, values and gradient. The backward hands x its (B, D)
+    per-item piece, expanded to rows only when x needs it dense.
     """
     if x.data.ndim != 2 or x.shape[0] != seg.total:
         raise ShapeMismatchError(f"segment_mean expects ({seg.total}, D), got {x.shape}")
@@ -386,7 +408,7 @@ def segment_mean(x: Tensor, seg: Segments) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, (g * inv[:, None])[seg.item])
+            _accumulate(x, _PerItem(g * inv[:, None], seg))
 
     return _make(data, (x,), backward)
 

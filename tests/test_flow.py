@@ -23,6 +23,8 @@ from flowalign.harness import layer_representations
 from flowalign.synth import PAD_TOKEN
 from flowalign.tensor import Tensor, check_gradients
 
+from conftest import traced_peak
+
 TINY = FlowConfig(
     feat_dim=4,
     hidden=6,
@@ -480,8 +482,6 @@ class TestWindowedSampler:
         taps: on 100 test utterances of the default corpus with the default
         model, traced allocations peak under 16 MiB (32 MiB with the whole
         batch's noise and every block's rows of a chunk kept)."""
-        import tracemalloc
-
         from flowalign.encoder import EncoderConfig, SpeakerEncoder
         from flowalign.synth import DatasetConfig, generate_dataset, make_eval_batch
 
@@ -489,13 +489,7 @@ class TestWindowedSampler:
         encoder = SpeakerEncoder(EncoderConfig(), n_classes=len(dataset.speakers_train))
         batch = make_eval_batch(dataset.test[:100], encoder)
         model = FlowModel(FlowConfig())
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = sample(model, batch, 2, seed=3)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: sample(model, batch, 2, seed=3))
         assert out.shape == batch.x1.shape and np.isfinite(out).all()
         assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
@@ -524,8 +518,6 @@ class TestChunkedRepresentations:
         as the block returns: on 100 test utterances of the default corpus with
         the default model, traced allocations peak under 16 MiB (46 MiB with one
         interpolant over the batch and all twelve blocks' rows of a chunk kept)."""
-        import tracemalloc
-
         from flowalign.encoder import EncoderConfig, SpeakerEncoder
         from flowalign.synth import DatasetConfig, generate_dataset, make_eval_batch
 
@@ -534,13 +526,7 @@ class TestChunkedRepresentations:
         batch = make_eval_batch(dataset.test[:100], encoder)
         noise = np.random.default_rng(5).standard_normal(batch.x1.shape)
         model = FlowModel(FlowConfig())
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            reps = layer_representations(model, batch, 0.5, noise)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        reps, peak = traced_peak(lambda: layer_representations(model, batch, 0.5, noise))
         assert len(reps) == model.n_taps and reps[0].shape == (100, model.config.hidden)
         assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 

@@ -1,5 +1,6 @@
 """Synthetic data: determinism, masking invariants, decodability, manifests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,12 +16,15 @@ from flowalign.synth import (
     make_eval_batch,
     make_mixing_maps,
     make_speakers,
+    manifest_hash,
     pad_stack,
     read_manifest,
     synth_utterance,
     write_manifest,
 )
 from flowalign.tensor import Tensor
+
+from conftest import traced_peak
 
 
 SMALL = DatasetConfig(
@@ -271,6 +275,21 @@ class TestManifest:
         h2 = write_manifest(generate_dataset(SMALL), tmp_path / "b")
         assert h1 == h2
 
+    def test_hash_is_that_of_the_two_files(self, tmp_path):
+        ds = generate_dataset(SMALL)
+        h = write_manifest(ds, tmp_path)
+        files = (tmp_path / "manifest.jsonl").read_bytes() + (tmp_path / "features.bin").read_bytes()
+        assert h == hashlib.sha256(files).hexdigest()
+        assert manifest_hash(ds) == h
+        assert read_manifest(tmp_path)[1] == h
+
+    def test_hash_memory(self):
+        """Hashing the default corpus feeds one utterance's bytes at a time: under
+        4 MiB of traced allocations (59.6 MiB with both files built whole)."""
+        ds = generate_dataset(DatasetConfig())
+        _, peak = traced_peak(lambda: manifest_hash(ds))
+        assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
+
 
 def _unknown_config_key(manifest, blob):
     header = json.loads(manifest[0])
@@ -288,7 +307,25 @@ def _short_blob(manifest, blob):
     return manifest, blob[:-8]
 
 
-@pytest.mark.parametrize("tamper", [_unknown_config_key, _valid_len_off_its_bytes, _short_blob])
+def _invalid_config(manifest, blob):
+    header = json.loads(manifest[0])
+    header["config"].update(speakers=2, test_speakers=3)
+    return [json.dumps(header), *manifest[1:]], blob
+
+
+def _truncated_header(manifest, blob):
+    return [manifest[0][: len(manifest[0]) // 2], *manifest[1:]], blob
+
+
+def _bytes_past_the_records(manifest, blob):
+    return manifest, blob + bytes(8)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_unknown_config_key, _valid_len_off_its_bytes, _short_blob, _invalid_config,
+     _truncated_header, _bytes_past_the_records],
+)
 def test_malformed_manifest_rejected(tamper, tmp_path):
     write_manifest(generate_dataset(SMALL), tmp_path)
     manifest, blob = tamper(
