@@ -26,7 +26,7 @@ from .tensor import Tensor
 MODES = ("baseline", "layer_only", "layer_time")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlignConfig:
     mode: str = "layer_time"
     lam: float = 0.5  # weight of the auxiliary loss in the total
@@ -36,7 +36,7 @@ class AlignConfig:
     time_embed_dim: int = 64
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}")
         if self.lam < 0 or self.alpha < 0:
@@ -49,7 +49,6 @@ class AlignmentHead:
     """Per-layer adapters plus the softmax gate over layers."""
 
     def __init__(self, config: AlignConfig, n_layers: int, tap_dim: int, embed_dim: int):
-        config.validate()
         if n_layers < 1:
             raise ConfigurationError("need at least one supervised layer")
         self.config = config
@@ -157,7 +156,7 @@ class AlignmentHead:
         head, _ = load_strict(
             path,
             "alignment-head",
-            AlignConfig,
+            AlignConfig(),
             lambda cfg, meta: AlignmentHead(
                 cfg, meta["n_layers"], meta["tap_dim"], meta["embed_dim"]
             ),

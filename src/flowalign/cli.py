@@ -10,18 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 from .alignment import MODES
 from .encoder import SpeakerEncoder, train_encoder
-from .errors import IntegrityError
+from .errors import ConfigurationError, IntegrityError
 from .flow import FlowModel, sample as ode_sample
 from .harness import (
     ExperimentConfig,
     TrainConfig,
     Workspace,
     ablation_table,
+    check_dimensions,
     eval_inputs,
     evaluate,
     paired_one_sided_p,
@@ -36,10 +38,8 @@ def _load_exp(args) -> ExperimentConfig:
 
 
 def cmd_gen_data(args) -> int:
-    exp = _load_exp(args)
-    if args.seed is not None:
-        exp.data.seed = args.seed
-    ds = generate_dataset(exp.data)
+    data = _load_exp(args).data
+    ds = generate_dataset(data if args.seed is None else replace(data, seed=args.seed))
     h = write_manifest(ds, args.out)
     print(f"wrote {len(ds.train)} train / {len(ds.test)} test utterances to {args.out}")
     print(f"dataset_hash {h}")
@@ -98,7 +98,7 @@ def cmd_sample(args) -> int:
     model = FlowModel.load(args.model)
     ds, ds_hash = read_manifest(args.data)
     enc = _load_encoder(args.encoder, ds_hash)
-    ExperimentConfig(data=ds.config, encoder_a=enc.config, flow=model.config).check_dimensions()
+    check_dimensions(ds.config, enc.config, model.config)
     utts = ds.test[: args.count]
     batch = make_eval_batch(utts, enc, TrainConfig.eval_mask_fraction)
     gen = ode_sample(model, batch, args.ode_steps, args.seed)
@@ -117,11 +117,32 @@ def cmd_sample(args) -> int:
     return 0
 
 
+# what ``report`` and ``analyze`` read of a run's report.json, with its JSON type
+_REPORT_FIELDS = {
+    "mode": str, "seed": int, "final_sim_a": float, "final_sim_b": float, "config": dict
+}
+
+
+def _read_report(run: Path) -> dict:
+    """A run's report.json; one that is not a JSON object holding each of
+    ``_REPORT_FIELDS`` raises ``IntegrityError``."""
+    try:
+        report = json.loads((run / "report.json").read_bytes())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise IntegrityError(f"run {run} has no JSON report: {e}") from e
+    for key, kind in _REPORT_FIELDS.items():
+        if not isinstance(report, dict) or type(report.get(key)) is not kind:
+            raise IntegrityError(f"run {run} records no {key} of type {kind.__name__}")
+    return report
+
+
 def cmd_analyze(args) -> int:
     run = Path(args.run)
-    report = json.loads((run / "report.json").read_text())
-    if "config" not in report:
-        raise IntegrityError(f"run {run} records no config")
+    report = _read_report(run)
+    try:
+        exp = ExperimentConfig.from_dict(report["config"])
+    except ConfigurationError as e:
+        raise IntegrityError(f"run {run} records a config that is refused: {e}") from e
     ds, ds_hash = read_manifest(args.data)
     if report.get("dataset_hash") != ds_hash:
         raise IntegrityError(
@@ -130,7 +151,6 @@ def cmd_analyze(args) -> int:
     model = FlowModel.load(run / "model.json")
     enc_a = _load_encoder(args.encoder_a, ds_hash)
     enc_b = _load_encoder(args.encoder_b, ds_hash)
-    exp = ExperimentConfig.from_dict(report["config"])
     for name, enc, cfg in (("a", enc_a, exp.encoder_a), ("b", enc_b, exp.encoder_b)):
         if enc.config != cfg:
             raise IntegrityError(f"encoder-{name} was trained with another config than run {run}")
@@ -149,7 +169,7 @@ def cmd_report(args) -> int:
     by_mode: dict[str, list] = {}
     for d in args.runs:
         # report.json holds a run's RunResult fields by name
-        rep = SimpleNamespace(**json.loads((Path(d) / "report.json").read_text()))
+        rep = SimpleNamespace(**_read_report(Path(d)))
         by_mode.setdefault(rep.mode, []).append(rep)
     for mode in by_mode:
         by_mode[mode].sort(key=lambda r: r.seed)

@@ -22,7 +22,7 @@ from .serialize import load_strict, params_hash, save_checkpoint
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     feat_dim: int = 24
     hidden: int = 64
@@ -35,6 +35,12 @@ class EncoderConfig:
     lr: ClassVar[float] = 3e-3
     weight_decay: ClassVar[float] = 1e-4
     holdout_frac: ClassVar[float] = 0.1
+
+    def __post_init__(self):
+        sizes = ("feat_dim", "hidden", "embed_dim", "steps", "batch_size")
+        small = [name for name in sizes if getattr(self, name) < 1]
+        if small:
+            raise ConfigurationError(f"{', '.join(small)} must be >= 1")
 
     @staticmethod
     def variant_a() -> "EncoderConfig":
@@ -117,7 +123,7 @@ class SpeakerEncoder:
         enc, meta = load_strict(
             path,
             "speaker-encoder",
-            EncoderConfig,
+            EncoderConfig(),
             lambda cfg, meta: SpeakerEncoder(cfg, meta["n_classes"]),
         )
         if meta.get("frozen"):

@@ -24,7 +24,7 @@ from .synth import PAD_TOKEN
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
     """The flow model's sizes and initialization seed.
 
@@ -44,7 +44,7 @@ class FlowConfig:
     frames_per_token: int = 4
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.hidden < 1 or self.n_blocks < 1:
             raise ConfigurationError("hidden and n_blocks must be positive")
         if self.time_embed_dim % 2:
@@ -105,7 +105,6 @@ class FlowModel:
     """Per-frame residual MLP stack with time and identity modulation."""
 
     def __init__(self, config: FlowConfig):
-        config.validate()
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 40427]))
         H, D = config.hidden, config.feat_dim
@@ -246,7 +245,7 @@ class FlowModel:
 
     @staticmethod
     def load(path) -> "FlowModel":
-        model, _ = load_strict(path, "flow-model", FlowConfig, lambda cfg, meta: FlowModel(cfg))
+        model, _ = load_strict(path, "flow-model", FlowConfig(), lambda cfg, meta: FlowModel(cfg))
         return model
 
 

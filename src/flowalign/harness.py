@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -26,7 +26,7 @@ from .errors import ConfigurationError, IntegrityError, TrainingDiagnosticsError
 from .flow import FlowConfig, FlowModel, _length_chunks, make_interpolant, cfm_loss, sample
 from .cknna import layer_alignment
 from .optim import AdamW, cosine_warmup_lr
-from .serialize import params_hash
+from .serialize import config_from_json, params_hash
 from .synth import (
     DatasetConfig,
     SynthDataset,
@@ -40,7 +40,7 @@ from .synth import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     steps: int = 600
     batch_size: int = 16
@@ -61,7 +61,7 @@ class TrainConfig:
     heatmap_points: ClassVar[int] = 21
     loss_blowup: ClassVar[float] = 1e4
 
-    def validate(self):
+    def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigurationError("steps and batch_size must be positive")
         if self.eval_ode_steps < 1:
@@ -394,8 +394,23 @@ def spearman(a, b) -> float:
 # -- end-to-end experiment -------------------------------------------------------
 
 
-@dataclass
+def check_dimensions(data: DatasetConfig, encoder_a: EncoderConfig, flow: FlowConfig):
+    """The checks that the data, encoder-a and flow sections agree in shape."""
+    if flow.feat_dim != data.feat_dim:
+        raise ConfigurationError("flow feat_dim must match dataset feat_dim")
+    if flow.cond_dim != encoder_a.embed_dim:
+        raise ConfigurationError("flow cond_dim must match encoder-a embed_dim")
+    if flow.vocab != data.vocab:
+        raise ConfigurationError("flow vocab must match dataset vocab")
+    if flow.frames_per_token != data.frames_per_token:
+        raise ConfigurationError("frames_per_token must match dataset")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """Every section of a run. Each section checks itself when it is made;
+    ``validate`` checks that the sections agree, where a run needs them to."""
+
     data: DatasetConfig = field(default_factory=DatasetConfig)
     encoder_a: EncoderConfig = field(default_factory=EncoderConfig.variant_a)
     encoder_b: EncoderConfig = field(default_factory=EncoderConfig.variant_b)
@@ -404,53 +419,23 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self):
-        self.data.validate()
-        self.flow.validate()
-        self.align.validate()
-        self.train.validate()
-        self.check_dimensions()
+        check_dimensions(self.data, self.encoder_a, self.flow)
         n_eval = min(self.train.eval_utterances, self.data.test_utterances)
         if not 1 <= self.train.cknna_k < n_eval:
             raise ConfigurationError(f"cknna_k={self.train.cknna_k} outside [1, {n_eval - 1}]")
 
-    def check_dimensions(self):
-        """The checks that the data, encoder-a and flow sections agree in shape."""
-        if self.flow.feat_dim != self.data.feat_dim:
-            raise ConfigurationError("flow feat_dim must match dataset feat_dim")
-        if self.flow.cond_dim != self.encoder_a.embed_dim:
-            raise ConfigurationError("flow cond_dim must match encoder-a embed_dim")
-        if self.flow.vocab != self.data.vocab:
-            raise ConfigurationError("flow vocab must match dataset vocab")
-        if self.flow.frames_per_token != self.data.frames_per_token:
-            raise ConfigurationError("frames_per_token must match dataset")
-
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":
-        cfg = ExperimentConfig()
-        sections = {
-            "data": DatasetConfig,
-            "encoder_a": EncoderConfig,
-            "encoder_b": EncoderConfig,
-            "flow": FlowConfig,
-            "align": AlignConfig,
-            "train": TrainConfig,
-        }
-        for key, cls in sections.items():
-            if key in obj:
-                base = asdict(getattr(cfg, key))
-                unknown = set(obj[key]) - set(base)
-                if unknown:
-                    raise ConfigurationError(f"unknown {key} fields: {sorted(unknown)}")
-                base.update(obj[key])
-                setattr(cfg, key, cls(**base))
-        unknown = set(obj) - set(sections)
-        if unknown:
-            raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
-        return cfg
+        """The default config with the sections and fields that ``obj`` sets."""
+        return config_from_json(ExperimentConfig(), obj, "config")
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
+        try:
+            obj = json.loads(Path(path).read_bytes())
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigurationError(f"{path} is not a JSON config: {e}") from e
+        return ExperimentConfig.from_dict(obj)
 
 
 class Workspace:
@@ -496,15 +481,13 @@ class Workspace:
 
     def run(self, mode: str, seed: int, out_dir=None) -> RunResult:
         enc_a, enc_b = self.ensure_encoders()
-        align = AlignConfig(**{**asdict(self.exp.align), "mode": mode})
-        train = TrainConfig(**{**asdict(self.exp.train), "seed": seed})
         return train_run(
             self.ensure_dataset(),
             enc_a,
             enc_b,
             self.exp.flow,
-            align,
-            train,
+            replace(self.exp.align, mode=mode),
+            replace(self.exp.train, seed=seed),
             out_dir=out_dir,
             dataset_hash=self.dataset_hash,
         )

@@ -14,7 +14,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import IntegrityError
+from .errors import ConfigurationError, IntegrityError
 from .tensor import Tensor, tensor_from_json, tensor_to_json
 
 
@@ -56,37 +56,48 @@ def save_checkpoint(params: dict[str, Tensor], path, meta: dict | None = None) -
     return digest.hexdigest()
 
 
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "tuple": (list, tuple)}
 
 
-def config_from_json(config_cls, values, what: str):
-    """``config_cls(**values)`` from a JSON object of its fields.
+def config_from_json(base, values, what: str):
+    """``dataclasses.replace(base, **values)`` for a JSON object of base's fields.
 
-    A field ``config_cls`` lacks, or a value whose JSON type does not fit
-    its field (a string for a number, say), raises ``IntegrityError``.
+    A section (a field that holds a config in ``base``) is read the same
+    way from its own object, and a tuple field from an array of integers.
+    ``values`` that is not an object, a field ``base`` lacks, a value whose
+    JSON type does not fit its field (a string, a bool or null for a
+    number, say) and a value the config itself refuses raise
+    ``ConfigurationError``. ``what`` names the object in the message.
     """
     if not isinstance(values, dict):
-        raise IntegrityError(f"{what} config is not a JSON object")
-    types = {f.name: f.type for f in dataclasses.fields(config_cls)}
+        raise ConfigurationError(f"{what} is not a JSON object")
+    types = {f.name: f.type for f in dataclasses.fields(base)}
     unknown = set(values) - set(types)
     if unknown:
-        raise IntegrityError(f"{what} has unknown config fields: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown {what} fields: {sorted(unknown)}")
+    read = {}
     for k, v in values.items():
-        if type(v) not in _JSON_TYPES.get(types[k], (type(v),)):
-            raise IntegrityError(f"{what} config field {k}={v!r} is not of type {types[k]}")
-    return config_cls(**values)
+        if dataclasses.is_dataclass(getattr(base, k)):
+            read[k] = config_from_json(getattr(base, k), v, k)
+        elif type(v) not in _JSON_TYPES[types[k]] or (
+            types[k] == "tuple" and any(type(i) is not int for i in v)
+        ):
+            raise ConfigurationError(f"{what} field {k}={v!r} is not of type {types[k]}")
+        else:
+            read[k] = tuple(v) if types[k] == "tuple" else v
+    return dataclasses.replace(base, **read)
 
 
-def load_strict(path, kind: str, config_cls, build):
+def load_strict(path, kind: str, base, build):
     """Rebuild an object from its checkpoint; returns (object, meta).
 
     ``build(config, meta)`` makes a fresh object whose ``params`` fix the
     expected names and shapes. The checkpoint must be a JSON object of
-    ``kind`` with a ``params`` object, its meta config may only hold fields
-    of ``config_cls``, each with a value of its field's JSON type
-    (``config_from_json``), its meta must hold what ``build`` reads, and its
-    parameters must match the fresh ones name for name and shape for shape,
-    each with as many values as its shape. Any other file raises
+    ``kind`` with a ``params`` object, its meta config must be one that
+    ``config_from_json`` reads over the default config ``base``, its meta
+    must hold what ``build`` reads, with values ``build`` accepts, and its
+    parameters must match the fresh ones name for name and shape for
+    shape, each with as many values as its shape. Any other file raises
     ``IntegrityError``.
     """
     try:
@@ -96,13 +107,13 @@ def load_strict(path, kind: str, config_cls, build):
     if not isinstance(doc, dict) or not isinstance(doc.get("params"), dict):
         raise IntegrityError(f"{path} holds no params")
     meta = doc.get("meta", {})
-    if meta.get("kind") != kind:
-        raise IntegrityError(f"not a {kind} checkpoint: {meta.get('kind')}")
-    config = config_from_json(config_cls, meta.get("config", {}), f"{kind} checkpoint")
+    if not isinstance(meta, dict) or meta.get("kind") != kind:
+        raise IntegrityError(f"{path} is not a {kind} checkpoint")
     try:
+        config = config_from_json(base, meta.get("config", {}), f"{kind} checkpoint config")
         obj = build(config, meta)
-    except KeyError as e:
-        raise IntegrityError(f"{kind} checkpoint meta has no {e}") from e
+    except (KeyError, TypeError, ValueError) as e:  # ConfigurationError is a ValueError
+        raise IntegrityError(f"{kind} checkpoint meta is malformed: {e!r}") from e
     params = doc["params"]
     if set(params) != set(obj.params):
         raise IntegrityError(

@@ -28,7 +28,7 @@ MASK_FRACTION_RANGE = (0.3, 0.9)  # a training span's share of its utterance
 MIN_SPEAKER_ANGLE_DEG = 5.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig:
     """Knobs for one reproducible dataset draw."""
 
@@ -46,7 +46,7 @@ class DatasetConfig:
     test_utterances: int = 500
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.test_speakers >= self.speakers:
             raise ConfigurationError(
                 f"test_speakers={self.test_speakers} must be < speakers={self.speakers}"
@@ -181,7 +181,6 @@ def _draw_split(speakers, n_utts, config, maps, rng) -> list[Utterance]:
 
 def generate_dataset(config: DatasetConfig) -> SynthDataset:
     """Deterministically generate the full train/test dataset from its config."""
-    config.validate()
     ss = np.random.SeedSequence(config.seed)
     spk_seed, maps_seed, train_seed, test_seed = ss.spawn(4)
     speakers = make_speakers(config.speakers, config.latent_dim, spk_seed)
@@ -382,43 +381,58 @@ def write_manifest(dataset: SynthDataset, out_dir) -> str:
     return digest.hexdigest()
 
 
+def _manifest_record(rec: dict) -> tuple:
+    """A manifest record as (split, speaker_id, tokens, valid_len, offset, nbytes).
+
+    A missing field raises ``KeyError``, and a split other than train and
+    test or a value that is not an integer where one is wanted ``ValueError``.
+    """
+    names = ("split", "speaker_id", "tokens", "valid_len", "offset", "nbytes")
+    fields = tuple(rec[k] for k in names)
+    split, speaker_id, tokens, *sizes = fields
+    if split not in ("train", "test") or any(
+        type(v) is not int for v in (speaker_id, *tokens, *sizes)
+    ):
+        raise ValueError(f"malformed record {rec}")
+    return fields
+
+
 def read_manifest(in_dir) -> tuple[SynthDataset, str]:
     """Load a dataset directory; returns (dataset, dataset_hash).
 
-    A line that is not JSON, a header config with a field ``DatasetConfig``
-    lacks, a value of the wrong type or a combination ``validate`` refuses,
-    a record whose bytes do not hold its ``valid_len`` frames right after
-    the record before it, and a feature blob with bytes no record holds
-    raise ``IntegrityError``. The hash is fed with the manifest's lines and
-    then each record's bytes as they are read, so it is the SHA-256 of the
-    two files.
+    A line that is not JSON, a header without its speakers, maps or a
+    config that ``config_from_json`` accepts, a record that
+    ``_manifest_record`` refuses, a record whose bytes do not hold its
+    ``valid_len`` frames right after the record before it, and a feature
+    blob with bytes no record holds raise ``IntegrityError``. The hash is
+    fed with the manifest's lines and then each record's bytes as they are
+    read, so it is the SHA-256 of the two files.
     """
     src = Path(in_dir)
     digest = hashlib.sha256()
     with open(src / "manifest.jsonl", "rb") as f:
         lines = list(f)
     feed(digest, lines)
+    spk_by_split = {"train": [], "test": []}
     try:
         header, *records = [json.loads(line) for line in lines]
-        config = config_from_json(DatasetConfig, header["config"], "manifest")
-        config.validate()
-    except (ValueError, KeyError, TypeError) as e:  # ConfigurationError is a ValueError
-        raise IntegrityError(f"{src / 'manifest.jsonl'} has a malformed line: {e}") from e
-    spk_by_split = {"train": [], "test": []}
-    for s in header["speakers"]:
-        spk_by_split[s["split"]].append(
-            SpeakerSpec(int(s["speaker_id"]), np.array(s["latent"], dtype=np.float64))
+        config = config_from_json(DatasetConfig(), header["config"], "manifest config")
+        for s in header["speakers"]:
+            spk_by_split[s["split"]].append(
+                SpeakerSpec(int(s["speaker_id"]), np.array(s["latent"], dtype=np.float64))
+            )
+        maps = MixingMaps(
+            np.array(header["maps"]["token_table"], dtype=np.float64),
+            np.array(header["maps"]["content_map"], dtype=np.float64),
+            np.array(header["maps"]["identity_map"], dtype=np.float64),
         )
-    maps = MixingMaps(
-        np.array(header["maps"]["token_table"], dtype=np.float64),
-        np.array(header["maps"]["content_map"], dtype=np.float64),
-        np.array(header["maps"]["identity_map"], dtype=np.float64),
-    )
+        records = [_manifest_record(rec) for rec in records]
+    except (KeyError, TypeError, ValueError) as e:  # ConfigurationError is a ValueError
+        raise IntegrityError(f"{src / 'manifest.jsonl'} has a malformed line: {e!r}") from e
     splits = {"train": [], "test": []}
     end = 0  # bytes of features.bin read so far
     with open(src / "features.bin", "rb") as blob:
-        for rec in records:
-            offset, nbytes, n = rec["offset"], rec["nbytes"], rec["valid_len"]
+        for split, speaker_id, tokens, n, offset, nbytes in records:
             fits = offset == end and n >= 0 and nbytes == 8 * n * config.feat_dim
             feats = np.empty((n if fits else 0, config.feat_dim), dtype="<f8")
             if not fits or blob.readinto(feats) != nbytes:
@@ -428,13 +442,8 @@ def read_manifest(in_dir) -> tuple[SynthDataset, str]:
                 )
             digest.update(feats)
             end += nbytes
-            splits[rec["split"]].append(
-                Utterance(
-                    rec["speaker_id"],
-                    np.array(rec["tokens"], dtype=np.int64),
-                    feats,
-                    rec["valid_len"],
-                )
+            splits[split].append(
+                Utterance(speaker_id, np.array(tokens, dtype=np.int64), feats, n)
             )
         if blob.read(1):
             raise IntegrityError(f"features.bin holds bytes past the {end} its records hold")

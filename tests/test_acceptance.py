@@ -10,6 +10,7 @@ baseline. Tolerances and budgets are pinned as module constants.
 import csv
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,9 +302,7 @@ class TestZeroWeightEquivalence:
 def lab(tmp_path_factory):
     """Dataset, frozen encoders, and the full mode-by-seed experiment."""
     root = tmp_path_factory.mktemp("acceptance")
-    exp = ExperimentConfig()
-    exp.train = TrainConfig(**PROFILE)
-    ws = Workspace(exp)
+    ws = Workspace(replace(ExperimentConfig(), train=TrainConfig(**PROFILE)))
     ws.save_dataset(root / "data")
     t0 = time.monotonic()
     ws.ensure_encoders()
@@ -312,8 +311,8 @@ def lab(tmp_path_factory):
     for seed in SEEDS:
         for mode in MODES:
             cadenced = mode == "baseline" and seed == 0
-            ws.exp.train = TrainConfig(
-                **PROFILE, eval_steps=CHECKPOINTS if cadenced else ()
+            ws.exp = replace(
+                ws.exp, train=TrainConfig(**PROFILE, eval_steps=CHECKPOINTS if cadenced else ())
             )
             results[mode].append(
                 ws.run(mode, seed, out_dir=root / f"{mode}_seed{seed}")

@@ -248,9 +248,9 @@ class TestEntropyAscent:
 class TestModes:
     def test_mode_validation(self):
         with pytest.raises(ConfigurationError):
-            AlignConfig(mode="sometimes").validate()
+            AlignConfig(mode="sometimes")
         with pytest.raises(ConfigurationError):
-            AlignConfig(lam=-0.1).validate()
+            AlignConfig(lam=-0.1)
 
     def test_needs_layers(self):
         with pytest.raises(ConfigurationError):

@@ -2,7 +2,7 @@
 
 import json
 import shlex
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -122,10 +122,14 @@ class TestLifecycle:
         # the config the run was trained with: the manifest's data section, the
         # encoders' own configs, and --config with the run's mode and seed
         exp = ExperimentConfig.load(space["config"])
-        exp.data = read_manifest(space["data"])[0].config
-        exp.encoder_a = SpeakerEncoder.load(space["enc_a"]).config
-        exp.encoder_b = SpeakerEncoder.load(space["enc_b"]).config
-        exp.align.mode, exp.train.seed = "layer_time", 0
+        exp = replace(
+            exp,
+            data=read_manifest(space["data"])[0].config,
+            encoder_a=SpeakerEncoder.load(space["enc_a"]).config,
+            encoder_b=SpeakerEncoder.load(space["enc_b"]).config,
+            align=replace(exp.align, mode="layer_time"),
+            train=replace(exp.train, seed=0),
+        )
         assert rep["config"] == json.loads(json.dumps(asdict(exp)))
 
     def test_sample_writes_continuations(self, space, tmp_path):
@@ -354,6 +358,63 @@ class TestLifecycle:
     def test_unknown_mode_rejected(self, space):
         with pytest.raises(SystemExit):
             main(["train", "--mode", "bogus"])
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda rep: json.dumps(rep)[:-40],  # truncated
+            lambda rep: json.dumps([rep]),
+            lambda rep: json.dumps({k: v for k, v in rep.items() if k != "mode"}),
+            lambda rep: json.dumps({**rep, "final_sim_a": "0.9"}),
+        ],
+        ids=["truncated", "array", "no_mode", "string_score"],
+    )
+    def test_report_refuses_a_malformed_report(self, space, tmp_path, tamper):
+        rep = json.loads((Path(space["run"]) / "report.json").read_text())
+        (tmp_path / "report.json").write_text(tamper(rep))
+        with pytest.raises(IntegrityError):
+            main(["report", str(tmp_path)])
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda rep: json.dumps(rep)[:-40],  # truncated
+            lambda rep: json.dumps({**rep, "config": {**rep["config"], "sandwich": {}}}),
+            lambda rep: json.dumps({**rep, "config": {"train": {"steps": "600", "cknna_k": 0}}}),
+            lambda rep: json.dumps({**rep, "config": {"flow": {"n_blocks": 0}}}),
+        ],
+        ids=["truncated", "unknown_section", "string_steps", "invalid_flow"],
+    )
+    def test_analyze_refuses_a_malformed_report(self, space, tmp_path, tamper):
+        rep = json.loads((Path(space["run"]) / "report.json").read_text())
+        (tmp_path / "report.json").write_text(tamper(rep))
+        argv = ["analyze", "--run", str(tmp_path), "--data", space["data"], "--encoder-a",
+                space["enc_a"], "--encoder-b", space["enc_b"]]
+        with pytest.raises(IntegrityError):
+            main(argv)
+
+
+MALFORMED_CONFIGS = {
+    "string_for_number": '{"train": {"steps": "10"}}',
+    "bool_for_number": '{"align": {"lam": true}}',
+    "null": '{"data": {"seed": null}}',
+    "eval_steps_number": '{"train": {"eval_steps": 5}}',
+    "eval_steps_strings": '{"train": {"eval_steps": ["5", "10"]}}',
+    "section_not_object": '{"flow": [3, 32]}',
+    "top_level_array": '[{"train": {"steps": 10}}]',
+    "not_json": '{"train": {"steps": 10}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_refused(name, tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(MALFORMED_CONFIGS[name])
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.load(path)
+    with pytest.raises(ConfigurationError):
+        main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
 
 
 def documented_commands(path):

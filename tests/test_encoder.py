@@ -150,3 +150,8 @@ class TestConstruction:
         monkeypatch.setattr(EncoderConfig, "holdout_frac", 1.0)
         with pytest.raises(ConfigurationError):
             train_encoder(dataset, EncoderConfig())
+
+    @pytest.mark.parametrize("name", ["feat_dim", "hidden", "embed_dim", "steps", "batch_size"])
+    def test_sizes_must_be_positive(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            EncoderConfig(**{name: 0})

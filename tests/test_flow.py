@@ -142,9 +142,9 @@ class TestForward:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            FlowConfig(n_blocks=0).validate()
+            FlowConfig(n_blocks=0)
         with pytest.raises(ConfigurationError):
-            FlowConfig(time_embed_dim=7).validate()
+            FlowConfig(time_embed_dim=7)
 
 
 class TestGradientsThroughModel:

@@ -2,7 +2,7 @@
 
 import inspect
 import json
-from dataclasses import asdict, fields
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +224,23 @@ class TestConfig:
         got = ExperimentConfig.from_dict(doc)
         assert got.data.speakers == 16 and got.train.steps == 10
 
+    @pytest.mark.parametrize(
+        "exp", [ExperimentConfig(), micro_experiment(eval_steps=(10, 20))], ids=["default", "micro"]
+    )
+    def test_dict_round_trip(self, exp):
+        assert ExperimentConfig.from_dict(asdict(exp)) == exp
+        # through JSON, as a run's report.json holds it: eval_steps is read back as a tuple
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(exp)))) == exp
+
+    @pytest.mark.parametrize(
+        "cls", [DatasetConfig, EncoderConfig, FlowConfig, AlignConfig, TrainConfig, ExperimentConfig]
+    )
+    def test_configs_are_frozen(self, cls):
+        config = cls()
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict({"data": {"speekers": 10}})
@@ -283,26 +300,24 @@ class TestConfig:
         assert (optim.AdamW.beta1, optim.AdamW.beta2, optim.AdamW.eps) == (0.9, 0.999, 1e-8)
 
     def test_cross_section_validation(self):
-        exp = micro_experiment()
-        exp.flow = FlowConfig(feat_dim=99)
+        exp = replace(micro_experiment(), flow=FlowConfig(feat_dim=99))
         with pytest.raises(ConfigurationError):
             exp.validate()
 
     def test_dim_mismatch_encoder(self):
-        exp = micro_experiment()
-        exp.encoder_a = EncoderConfig(embed_dim=5)
+        exp = replace(micro_experiment(), encoder_a=EncoderConfig(embed_dim=5))
         with pytest.raises(ConfigurationError):
             exp.validate()
 
     def test_cknna_k_checked_against_the_eval_set(self):
         exp = micro_experiment()
-        exp.train.cknna_k = 15  # 16 eval utterances: the largest valid k
+        exp = replace(exp, train=replace(exp.train, cknna_k=15))  # 16 eval utterances: the largest valid k
         exp.validate()
         for k, n_eval, n_test in ((0, 16, 24), (16, 16, 24), (12, 12, 24), (12, 16, 12)):
-            exp.train.cknna_k, exp.train.eval_utterances = k, n_eval
-            exp.data.test_utterances = n_test
+            bad = replace(exp, train=replace(exp.train, cknna_k=k, eval_utterances=n_eval),
+                          data=replace(exp.data, test_utterances=n_test))
             with pytest.raises(ConfigurationError, match="cknna_k"):
-                exp.validate()
+                bad.validate()
 
     def test_train_run_validates_the_inputs_it_is_given(self, workspace):
         # the dataset was drawn with frames_per_token=4

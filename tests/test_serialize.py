@@ -68,6 +68,10 @@ def _meta_only_kind(doc):
     doc["meta"] = {"kind": doc["meta"]["kind"]}
 
 
+def _meta_not_object(doc):
+    doc["meta"] = [doc["meta"]]
+
+
 def _no_params(doc):
     del doc["params"]
 
@@ -82,6 +86,13 @@ def _mistyped_config(doc):
     config[name] = str(config[name])
 
 
+def _invalid_config(doc):
+    # well typed, but a value the config itself refuses
+    invalid = {"flow-model": {"n_blocks": 0}, "alignment-head": {"mode": "sometimes"},
+               "speaker-encoder": {"steps": 0}}
+    doc["meta"]["config"].update(invalid[doc["meta"]["kind"]])
+
+
 @pytest.mark.parametrize("which", sorted(SMALL))
 def test_untampered_checkpoint_loads(which, tmp_path):
     build, load = SMALL[which]
@@ -93,7 +104,8 @@ def test_untampered_checkpoint_loads(which, tmp_path):
 @pytest.mark.parametrize(
     "tamper",
     [_wrong_kind, _missing_param, _extra_param, _wrong_shape, _unknown_config_field,
-     _short_data, _meta_only_kind, _no_params, _not_json, _mistyped_config],
+     _short_data, _meta_only_kind, _no_params, _not_json, _mistyped_config, _invalid_config,
+     _meta_not_object],
 )
 @pytest.mark.parametrize("which", sorted(SMALL))
 def test_loader_rejects_bad_checkpoint(which, tamper, tmp_path):

@@ -321,10 +321,37 @@ def _bytes_past_the_records(manifest, blob):
     return manifest, blob + bytes(8)
 
 
+def _edit_record(**changes):
+    """A tamper that updates the first record; a value of None deletes its field."""
+
+    def tamper(manifest, blob):
+        rec = json.loads(manifest[1])
+        rec.update(changes)
+        rec = {k: v for k, v in rec.items() if v is not None}
+        return [manifest[0], json.dumps(rec), *manifest[2:]], blob
+
+    tamper.__name__ = "_record_" + "_".join(
+        f"without_{k}" if v is None else f"{k}={v}" for k, v in changes.items()
+    )
+    return tamper
+
+
+def _drop_from_header(key):
+    def tamper(manifest, blob):
+        header = json.loads(manifest[0])
+        del header[key]
+        return [json.dumps(header), *manifest[1:]], blob
+
+    tamper.__name__ = f"_header_without_{key}"
+    return tamper
+
+
 @pytest.mark.parametrize(
     "tamper",
     [_unknown_config_key, _valid_len_off_its_bytes, _short_blob, _invalid_config,
-     _truncated_header, _bytes_past_the_records],
+     _truncated_header, _bytes_past_the_records, _edit_record(split="dev"),
+     _edit_record(nbytes=None), _edit_record(tokens=None), _edit_record(valid_len="3"),
+     _drop_from_header("maps"), _drop_from_header("speakers")],
 )
 def test_malformed_manifest_rejected(tamper, tmp_path):
     write_manifest(generate_dataset(SMALL), tmp_path)
